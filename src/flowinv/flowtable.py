@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .sampling import Decision, SamplerConfig, decide
-from .trace import FiveTuple, PacketRecord
+from .trace import FiveTuple, PacketRecord, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ def _flow_id(key: FiveTuple, window: int, seq: int) -> str:
     )
 
 
+@_gc_paused
 def build_flows(
     packets: Iterable[PacketRecord],
     config: FlowTableConfig,
@@ -261,6 +262,7 @@ def write_flow_csv(flows: FlowSet, path) -> None:
             )
 
 
+@_gc_paused
 def read_flow_csv(path) -> FlowSet:
     """Read records back from the export CSV.
 

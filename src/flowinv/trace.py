@@ -6,12 +6,15 @@ The text trace format is one packet per line::
 
 with the timestamp printed to six decimal places, dotted-quad addresses and
 ``flags`` a subset of ``SFR`` (``-`` when empty).  The pcap reader handles
-classic pcap files (microsecond magic, either byte order) carrying
-Ethernet + IPv4 + TCP/UDP/ICMP; anything else is counted and skipped.
+classic pcap files (microsecond or nanosecond magic, either byte order)
+carrying Ethernet + IPv4 + TCP/UDP/ICMP; anything else is counted and
+skipped.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -29,13 +32,39 @@ _FLAG_SET = frozenset(_FLAG_ORDER)
 _NO_FLAGS = frozenset()
 _SYN_ONLY = frozenset("S")
 
-_PCAP_MAGIC_US = 0xA1B2C3D4
+# pcap magic number -> unit of the timestamp fraction field
+_PCAP_FRACTION_UNITS = {0xA1B2C3D4: 1e-6, 0xA1B23C4D: 1e-9}
 _ETHERTYPE_IPV4 = 0x0800
 _FOREVER = float("inf")
 
 
 class TraceFormatError(ValueError):
     """A trace file cannot be parsed under its declared format."""
+
+
+def _gc_paused(func):
+    """Run ``func`` with the cyclic garbage collector paused.
+
+    The bulk readers and builders allocate one object per packet or record
+    and create no reference cycles, so every collection the allocations
+    trigger rescans the growing list and frees nothing.  The collector is
+    switched back on when the call returns or raises, and only if it was on
+    when the call began, so nested calls and callers that paused it
+    themselves are left as they were.  While the call runs, cyclic garbage
+    made by other threads waits for the next collection.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,11 +161,16 @@ def write_trace(path, packets: Iterable[PacketRecord]) -> None:
 
 def _read_text(path) -> Trace:
     packets = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            packets.append(parse_packet_line(line, lineno))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                packets.append(parse_packet_line(line, lineno))
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                f"{path}: not a UTF-8 text trace ({exc.reason})"
+            ) from exc
     _rebase(packets)
     return Trace(packets, skipped=0)
 
@@ -150,6 +184,18 @@ def _rebase(packets: list) -> None:
 
 # ---------------------------------------------------------------------------
 # pcap subset
+
+
+def _pcap_layout(head: bytes):
+    """Return ``(byte order, timestamp fraction unit)`` for a pcap global
+    header's magic number, or None if ``head`` does not start with one."""
+    if len(head) < 4:
+        return None
+    for endian in "<>":
+        unit = _PCAP_FRACTION_UNITS.get(struct.unpack_from(endian + "I", head)[0])
+        if unit is not None:
+            return endian, unit
+    return None
 
 
 def _decode_ethernet_ipv4(data: bytes):
@@ -199,13 +245,11 @@ def _read_pcap(path) -> Trace:
         header = fh.read(24)
         if len(header) < 24:
             raise TraceFormatError(f"{path}: truncated pcap global header")
-        magic, = struct.unpack_from("<I", header)
-        if magic == _PCAP_MAGIC_US:
-            endian = "<"
-        elif struct.unpack_from(">I", header)[0] == _PCAP_MAGIC_US:
-            endian = ">"
-        else:
+        layout = _pcap_layout(header)
+        if layout is None:
+            magic, = struct.unpack_from("<I", header)
             raise TraceFormatError(f"{path}: not a pcap file (magic {magic:#x})")
+        endian, unit = layout
         network, = struct.unpack_from(endian + "I", header, 20)
         if network != 1:
             raise TraceFormatError(f"{path}: unsupported link type {network}")
@@ -217,7 +261,7 @@ def _read_pcap(path) -> Trace:
                 break
             if len(pkthdr) < 16:
                 raise TraceFormatError(f"{path}: truncated packet header at EOF")
-            ts_sec, ts_usec, caplen, _orig = struct.unpack(endian + "IIII", pkthdr)
+            ts_sec, ts_frac, caplen, _orig = struct.unpack(endian + "IIII", pkthdr)
             data = fh.read(caplen)
             if len(data) < caplen:
                 raise TraceFormatError(f"{path}: truncated packet body at EOF")
@@ -226,11 +270,12 @@ def _read_pcap(path) -> Trace:
                 skipped += 1
                 continue
             key, total_len, flags = decoded
-            packets.append(PacketRecord(ts_sec + ts_usec * 1e-6, key, total_len, flags))
+            packets.append(PacketRecord(ts_sec + ts_frac * unit, key, total_len, flags))
     _rebase(packets)
     return Trace(packets, skipped)
 
 
+@_gc_paused
 def read_trace(path, format: str = "auto") -> Trace:
     """Read a trace file; timestamps are rebased so the first packet is at 0.
 
@@ -240,11 +285,8 @@ def read_trace(path, format: str = "auto") -> Trace:
     """
     if format == "auto":
         with open(path, "rb") as fh:
-            head = fh.read(4)
-        magic = struct.unpack("<I", head)[0] if len(head) == 4 else 0
-        swapped = struct.unpack(">I", head)[0] if len(head) == 4 else 0
-        format = "pcap" if _PCAP_MAGIC_US in (magic, swapped) else "text"
-    if format in ("pcap", "pcap-subset"):
+            format = "text" if _pcap_layout(fh.read(4)) is None else "pcap"
+    if format == "pcap":
         return _read_pcap(path)
     if format == "text":
         return _read_text(path)
@@ -321,6 +363,7 @@ def _flow_key(index: int, proto: int) -> FiveTuple:
     return FiveTuple(UDP, src, 1024 + (index % 50000), "192.168.0.1", 53)
 
 
+@_gc_paused
 def generate_trace(config: SyntheticTraceConfig):
     """Generate a packet stream with a known flow-length ground truth.
 

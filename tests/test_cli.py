@@ -110,6 +110,14 @@ def test_data_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_trace_exits_two(tmp_path, capsys):
+    bad = tmp_path / "capture.bin"
+    bad.write_bytes(b"\x0a\x0d\x0d\x0a\x1c\x00\x00\x00\xff\xfe binary\n")
+    assert main(["flows", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
+
+
 def test_pcap_input_is_autodetected(tmp_path, capsys):
     import struct
 

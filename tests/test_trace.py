@@ -1,9 +1,15 @@
+import gc
+import re
 import struct
 from collections import Counter
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from flowinv.flowtable import UNBOUNDED, build_flows, read_flow_csv, write_flow_csv
+from flowinv.sampling import ALWAYS
 from flowinv.trace import (
     FiveTuple,
     PacketRecord,
@@ -117,16 +123,15 @@ def _eth_ipv4(proto, src, dst, sport, dport, total_len, flags=0, ethertype=0x080
     return eth + ip + l4
 
 
-def _pcap_bytes(frames, endian="<", ts_step=0.5):
-    out = struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
-    t = 1000.0
-    for data in frames:
-        sec = int(t)
-        usec = int(round((t - sec) * 1e6))
-        out += struct.pack(endian + "IIII", sec, usec, len(data), len(data))
-        out += data
-        t += ts_step
-    return out
+def _pcap_bytes(frames, endian="<", ts_step=0.5, nano=False, t0=1000.0):
+    magic, per_sec = (0xA1B23C4D, 10**9) if nano else (0xA1B2C3D4, 10**6)
+    out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
+    for i, data in enumerate(frames):
+        ticks = round((t0 + i * ts_step) * per_sec)
+        sec, frac = divmod(ticks, per_sec)
+        out.append(struct.pack(endian + "IIII", sec, frac, len(data), len(data)))
+        out.append(data)
+    return b"".join(out)
 
 
 @pytest.mark.parametrize("endian", ["<", ">"])
@@ -181,6 +186,46 @@ def test_pcap_structural_corruption_is_fatal(tmp_path):
     path.write_bytes(b"\x00\x01\x02\x03" + b"not a pcap padding.." * 2)
     with pytest.raises(TraceFormatError, match="magic"):
         read_trace(path, format="pcap")
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_pcap_reader_nanosecond_timestamps(tmp_path, endian):
+    frames = [
+        _eth_ipv4(6, "10.0.0.1", "10.0.0.2", 80, 1234, 1500, flags=0x02),
+        _eth_ipv4(17, "10.0.0.3", "10.0.0.4", 53, 5353, 60),
+        _eth_ipv4(1, "10.0.0.5", "10.0.0.6", 0, 0, 84),
+    ]
+    path = tmp_path / "ns.pcap"
+    # a 0.25 s fraction misread as microseconds would be 250 s, and the
+    # 1 ns part of each step is below microsecond resolution
+    path.write_bytes(
+        _pcap_bytes(frames, endian, ts_step=0.250000001, t0=1000.75, nano=True)
+    )
+    for fmt in ("auto", "pcap"):
+        data = read_trace(path, format=fmt)
+        assert data.skipped == 0
+        assert [p.key.protocol for p in data.packets] == [6, 17, 1]
+        assert [p.timestamp for p in data.packets] == pytest.approx(
+            [0.0, 0.250000001, 0.500000002], abs=1e-12
+        )
+
+
+def test_non_utf8_text_trace_names_the_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(
+        b"0.000000 6 10.0.0.1 80 10.0.0.2 1234 1500 S\n"
+        b"0.500000 6 caf\xe9 80 10.0.0.2 1234 1500 -\n"
+    )
+    for fmt in ("auto", "text"):
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))):
+            read_trace(path, format=fmt)
+
+
+def test_unknown_format_is_rejected(tmp_path):
+    path = tmp_path / "t.pcap"
+    path.write_bytes(_pcap_bytes([_eth_ipv4(17, "10.0.0.1", "10.0.0.2", 1, 2, 60)]))
+    with pytest.raises(ValueError, match="unknown trace format 'pcap-subset'"):
+        read_trace(path, format="pcap-subset")
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +351,99 @@ def test_heavy_tail_ccdf_slope():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SyntheticTraceConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Cyclic GC pause in the bulk readers and builders
+
+_GC_CONFIG = SyntheticTraceConfig(
+    num_flows=14_000, max_flow_len=200, tcp_fraction=0.5, seed=11
+)
+_BACKWARDS = [
+    PacketRecord(1.0, FiveTuple(17, "10.0.0.1", 1, "10.0.0.2", 2), 60),
+    PacketRecord(0.5, FiveTuple(17, "10.0.0.1", 1, "10.0.0.2", 2), 60),
+]
+
+
+@contextmanager
+def _collections():
+    """Collect the generation of every cyclic collection started in the block."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(hook)
+
+
+@pytest.fixture(scope="module")
+def gc_inputs(tmp_path_factory):
+    packets, _ = generate_trace(_GC_CONFIG)
+    assert len(packets) >= 20_000
+    root = tmp_path_factory.mktemp("gc")
+    text, pcap, flows_csv = root / "t.txt", root / "t.pcap", root / "f.csv"
+    write_trace(text, packets)
+    pcap.write_bytes(_pcap_bytes(
+        [
+            _eth_ipv4(p.key.protocol, p.key.src_addr, p.key.dst_addr,
+                      p.key.src_port, p.key.dst_port, p.byte_len,
+                      flags=0x02 if "S" in p.tcp_flags else 0)
+            for p in packets
+        ],
+        ts_step=0.001,
+    ))
+    write_flow_csv(build_flows(packets, UNBOUNDED, ALWAYS), flows_csv)
+    return SimpleNamespace(packets=packets, text=text, pcap=pcap, flows_csv=flows_csv)
+
+
+_BULK_CALLS = {
+    "read_trace_text": lambda inp: read_trace(inp.text, format="text"),
+    "read_trace_pcap": lambda inp: read_trace(inp.pcap, format="pcap"),
+    "generate_trace": lambda inp: generate_trace(_GC_CONFIG),
+    "build_flows": lambda inp: build_flows(inp.packets, UNBOUNDED, ALWAYS),
+    "read_flow_csv": lambda inp: read_flow_csv(inp.flows_csv),
+}
+
+
+def test_collection_hook_sees_unpaused_allocations():
+    with _collections() as started:
+        kept = [[i] for i in range(20_000)]
+    assert started and len(kept) == 20_000
+
+
+@pytest.mark.parametrize("call", sorted(_BULK_CALLS))
+def test_bulk_call_runs_without_cyclic_collections(gc_inputs, call):
+    assert gc.isenabled()
+    with _collections() as started:
+        result = _BULK_CALLS[call](gc_inputs)
+    assert started == []
+    assert gc.isenabled()
+    assert result
+
+
+def test_collector_is_back_on_after_an_error(tmp_path):
+    with pytest.raises(ValueError, match="packet 1"):
+        build_flows(_BACKWARDS, UNBOUNDED, ALWAYS)
+    assert gc.isenabled()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.000000 6 10.0.0.1 80 10.0.0.2 1234 1500 S\ngarbage\n")
+    with pytest.raises(TraceFormatError, match="line 2"):
+        read_trace(bad, format="text")
+    assert gc.isenabled()
+
+
+def test_collector_stays_off_when_the_caller_paused_it(gc_inputs):
+    gc.disable()
+    try:
+        read_trace(gc_inputs.text, format="text")
+        assert not gc.isenabled()
+        with pytest.raises(ValueError, match="packet 1"):
+            build_flows(_BACKWARDS, UNBOUNDED, ALWAYS)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
