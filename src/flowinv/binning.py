@@ -9,7 +9,6 @@ the bin extent is shifted to [i_{k-1} - 0.5, i_k - 0.5].
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -18,7 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import FlowLengthDistribution, ObservedDistribution
+from .distributions import (
+    FlowLengthDistribution,
+    ObservedDistribution,
+    _counts_to_probs,
+    _histogram_lengths,
+)
 
 
 def ratio_for_bins_per_decade(bins_per_decade: float) -> float:
@@ -89,29 +93,22 @@ def bin_histogram(
     are rejected.
     """
     _check_boundaries(boundaries)
-    top = boundaries[-1]
-    for length in counts:
-        if length < 1 or int(length) != length:
-            raise ValueError(f"invalid flow length {length!r}")
-        if length >= top:
-            raise ValueError(
-                f"observed length {length} >= final boundary {top}; extend the bins"
-            )
+    lengths = _histogram_lengths(counts)
+    if lengths.size and lengths.max() >= boundaries[-1]:
+        raise ValueError(
+            f"observed length {lengths.max()} >= final boundary {boundaries[-1]}; "
+            "extend the bins"
+        )
     sums = [0] * (len(boundaries) - 1)
-    edges = list(boundaries)
-    for length, count in counts.items():
-        k = _bin_index(edges, length)
+    # rightmost bin k with boundaries[k] <= length < boundaries[k+1]
+    bins = np.searchsorted(boundaries, lengths, side="right") - 1
+    for k, count in zip(bins.tolist(), counts.values()):
         sums[k] += count
     averages = tuple(
         Fraction(s, hi - lo)
         for s, lo, hi in zip(sums, boundaries, boundaries[1:])
     )
     return LogBinning(tuple(boundaries), averages, ratio_target)
-
-
-def _bin_index(edges: list, length: int) -> int:
-    # rightmost bin k with edges[k] <= length < edges[k+1]
-    return bisect.bisect_right(edges, length) - 1
 
 
 def bin_mass(values: np.ndarray, boundaries: Sequence[int]) -> np.ndarray:
@@ -141,27 +138,21 @@ def ccdf(data) -> list[tuple[int, float]]:
     if isinstance(data, (FlowLengthDistribution, ObservedDistribution)):
         probs = np.asarray(data.probs, dtype=float)
     elif isinstance(data, Mapping):
-        probs = _histogram_probs(data)
+        probs = _counts_to_probs(data)
     else:
         probs = np.asarray(data, dtype=float)
     if probs.size == 0:
         raise ValueError("cannot compute a CCDF of an empty distribution")
-    # tail[i] = sum of probs beyond index i, computed right-to-left so the
-    # final value is exactly zero
-    tail = np.concatenate((np.cumsum(probs[::-1])[::-1][1:], [0.0]))
-    return [(i + 1, float(tail[i])) for i in range(len(probs))]
+    return list(zip(range(1, len(probs) + 1), _tail_sums(probs).tolist()))
 
 
-def _histogram_probs(counts: Mapping[int, int]) -> np.ndarray:
-    if not counts:
-        return np.zeros(0)
-    vec = np.zeros(max(counts))
-    for length, count in counts.items():
-        if length < 1:
-            raise ValueError(f"invalid flow length {length!r}")
-        vec[length - 1] = count
-    total = vec.sum()
-    return vec / total if total else vec
+def _tail_sums(mass: np.ndarray) -> np.ndarray:
+    """``tail[i]`` = sum of ``mass`` beyond index ``i``.
+
+    Summed right to left, so the last value is exactly zero and zero padding
+    at the end does not change the others.
+    """
+    return np.concatenate((np.cumsum(mass[::-1])[::-1][1:], [0.0]))
 
 
 BINNED_CSV_HEADER = ["bin_lo", "bin_hi", "avg_count", "plot_lo", "plot_hi"]

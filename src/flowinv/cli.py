@@ -153,62 +153,55 @@ def _cmd_invert(args) -> int:
     flows = flowtable.read_flow_csv(args.input)
     ratio = binning.ratio_for_bins_per_decade(args.bins_per_decade)
     meta = {
+        "method": args.method,
         "counts": {
             "packets_sampled": flows.packets_admitted,
             "flows_formed": len(flows.records),
             "mean_flow_len": (
                 flows.packets_admitted / len(flows.records) if flows.records else 0.0
             ),
-        }
+        },
     }
 
     if args.method == "syn":
         estimate = inversion.syn_estimate(flows)
         if estimate.max_len == 0:
             raise ValueError(f"{args.input}: no TCP flows to estimate from")
-        boundaries = binning.make_bins(estimate.max_len, ratio)
-        binned = [float(v) for v in binning.bin_mass(estimate.probs, boundaries)]
-        probs = [float(v) for v in estimate.probs]
-        payload = {
-            "p": args.p if args.p is not None else 1.0,
-            "C": 1.0,
-            "raw": probs,
-            "clamped": probs,
-            "negative_indices": [],
-            "observed": probs,
-            "binned": {"boundaries": boundaries, "raw": binned, "clamped": binned},
-            "method": "syn",
-            "tcp_only": True,
-        }
-        payload.update(meta)
-        inversion.write_inversion_json(args.out, payload)
-        print(f"wrote SYN-based estimate over {estimate.max_len} lengths to {args.out}")
-        return 0
-
-    if args.p is None:
-        raise ValueError(f"--p is required for method {args.method}")
-    if not flows.records:
-        raise ValueError(f"{args.input}: no flow records to invert")
-    lengths = [rec.packet_count for rec in flows.records]
-
-    if args.method == "sh-byte":
-        mean_bytes = args.mean_bytes
-        if mean_bytes is None:
-            mean_bytes = inversion.mean_sampled_packet_len(flows)
-        p_eff = inversion.effective_packet_probability(args.p, mean_bytes)
-        observed = ObservedDistribution.from_lengths(lengths, p_eff)
-        result = inversion.invert_sh_byte(observed, args.p, mean_bytes)
+        # the SYN estimate is used as-is: no normalizer, nothing clamped
+        p = args.p if args.p is not None else 1.0
+        observed = ObservedDistribution(estimate.probs, p)
+        result = inversion.InversionResult(estimate.probs, estimate, 1.0, [], p)
+        boundaries = binning.make_bins(observed.max_len, ratio)
+        binned = binning.bin_mass(estimate.probs, boundaries)
+        pooled = inversion.PooledInversion(tuple(boundaries), binned, binned, p)
+        meta["tcp_only"] = True
+        summary = f"wrote SYN-based estimate over {estimate.max_len} lengths to {args.out}"
     else:
-        observed = ObservedDistribution.from_lengths(lengths, args.p)
-        result = inversion.invert_sh_packet(observed, args.p)
+        if args.p is None:
+            raise ValueError(f"--p is required for method {args.method}")
+        if not flows.records:
+            raise ValueError(f"{args.input}: no flow records to invert")
+        lengths = [rec.packet_count for rec in flows.records]
 
-    boundaries = binning.make_bins(observed.max_len, ratio)
-    pooled = inversion.invert_sh_packet_pooled(observed, result.p, boundaries)
+        if args.method == "sh-byte":
+            mean_bytes = args.mean_bytes
+            if mean_bytes is None:
+                mean_bytes = inversion.mean_sampled_packet_len(flows)
+            p_eff = inversion.effective_packet_probability(args.p, mean_bytes)
+            observed = ObservedDistribution.from_lengths(lengths, p_eff)
+            result = inversion.invert_sh_byte(observed, args.p, mean_bytes)
+        else:
+            observed = ObservedDistribution.from_lengths(lengths, args.p)
+            result = inversion.invert_sh_packet(observed, args.p)
+
+        boundaries = binning.make_bins(observed.max_len, ratio)
+        pooled = inversion.invert_sh_packet_pooled(observed, result.p, boundaries)
+        flagged = f", {len(result.negative_indices)} negative estimates" if result.negative_indices else ""
+        summary = f"wrote inversion over {observed.max_len} lengths to {args.out}{flagged}"
+
     payload = inversion.inversion_to_json_dict(result, observed, pooled, extra=meta)
-    payload["method"] = args.method
     inversion.write_inversion_json(args.out, payload)
-    flagged = f", {len(result.negative_indices)} negative estimates" if result.negative_indices else ""
-    print(f"wrote inversion over {observed.max_len} lengths to {args.out}{flagged}")
+    print(summary)
     return 0
 
 

@@ -23,6 +23,8 @@ def _as_prob_vector(probs, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         return arr
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains non-finite probabilities")
     if arr.min() < 0.0:
         raise ValueError(f"{what} contains negative probabilities")
     total = float(arr.sum())
@@ -31,21 +33,38 @@ def _as_prob_vector(probs, what: str) -> np.ndarray:
     return arr
 
 
-def _counts_to_probs(counts: Mapping[int, int]) -> np.ndarray:
-    if not counts:
-        return np.zeros(0)
-    lengths = list(counts)
-    if min(lengths) < 1 or any(int(n) != n for n in lengths):
-        raise ValueError("flow lengths must be integers >= 1")
-    vec = np.zeros(max(lengths))
-    for length, count in counts.items():
-        if count < 0:
-            raise ValueError(f"negative count for length {length}")
-        vec[length - 1] = count
+def _histogram_lengths(counts: Mapping[int, int], what: str = "flow length") -> np.ndarray:
+    """The keys of a length -> count histogram as integers, checked to be >= 1."""
+    lengths = np.array(list(counts), dtype=float)
+    valid = np.isfinite(lengths) & (lengths >= 1) & (lengths == np.floor(lengths))
+    if not valid.all():
+        bad = list(counts)[int(np.argmin(valid))]
+        raise ValueError(f"{what} histogram: invalid flow length {bad!r}")
+    return lengths.astype(np.int64)
+
+
+def _counts_to_probs(counts: Mapping[int, int], what: str = "flow length") -> np.ndarray:
+    """Validate a length -> count histogram and return ``counts / total``.
+
+    ``probs[i]`` is the share of length ``i + 1``.  Lengths must be integers
+    >= 1 and counts finite and non-negative, with a positive total.
+    """
+    lengths = _histogram_lengths(counts, what)
+    if lengths.size == 0:
+        raise ValueError(f"{what} histogram is empty")
+    values = np.array(list(counts.values()), dtype=float)
+    if not (np.isfinite(values) & (values >= 0.0)).all():
+        raise ValueError(f"{what} histogram has a negative or non-finite count")
+    vec = np.zeros(int(lengths.max()))
+    vec[lengths - 1] = values
     total = vec.sum()
-    if total == 0:
-        return np.zeros(0)
-    vec /= total
+    if total <= 0.0:
+        raise ValueError(f"{what} histogram has no mass")
+    return vec / total
+
+
+def _pinned_probs(counts: Mapping[int, int]) -> np.ndarray:
+    vec = _counts_to_probs(counts)
     vec /= vec.sum()  # second pass pins the float sum to 1
     return vec
 
@@ -76,7 +95,7 @@ class FlowLengthDistribution:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "FlowLengthDistribution":
-        return cls(_counts_to_probs(counts))
+        return cls(_pinned_probs(counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,5 +123,4 @@ class ObservedDistribution:
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int], p_used: float) -> "ObservedDistribution":
-        counts = Counter(int(n) for n in lengths)
-        return cls(_counts_to_probs(counts), p_used)
+        return cls(_pinned_probs(Counter(int(n) for n in lengths)), p_used)

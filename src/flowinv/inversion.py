@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,15 +70,23 @@ def invert_sh_packet(observed: ObservedDistribution, p: float) -> InversionResul
     shifted = np.concatenate((x[1:], [0.0]))
     raw = (x - q * shifted) / normalizer
     negative = [int(i) + 1 for i in np.flatnonzero(raw < 0.0)]
-    clamped = np.clip(raw, 0.0, None)
-    clamped /= clamped.sum()
     return InversionResult(
         raw_estimates=raw,
-        clamped_normalized=FlowLengthDistribution(clamped),
+        clamped_normalized=FlowLengthDistribution(_clamp_renormalize(raw)),
         normalizer=normalizer,
         negative_indices=negative,
         p=p,
     )
+
+
+def _clamp_renormalize(raw: np.ndarray) -> np.ndarray:
+    """Set negative estimates to zero and rescale the rest to sum to 1."""
+    clamped = np.clip(raw, 0.0, None)
+    total = clamped.sum()
+    if not total > 0.0:
+        raise ValueError("estimates carry no positive mass to renormalize")
+    clamped /= total
+    return clamped
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +104,7 @@ def pool_raw_estimates(
 ) -> PooledInversion:
     """Pool per-length raw estimates over bins, clamping after the pooling."""
     raw = bin_mass(np.asarray(raw_estimates, dtype=float), boundaries)
-    clamped = np.clip(raw, 0.0, None)
-    clamped /= clamped.sum()
-    return PooledInversion(tuple(boundaries), raw, clamped, p)
+    return PooledInversion(tuple(boundaries), raw, _clamp_renormalize(raw), p)
 
 
 def invert_sh_packet_pooled(
@@ -134,13 +140,8 @@ def invert_sh_byte(
     can misbehave on short flows.
     """
     p_eff = effective_packet_probability(p_per_byte, mean_packet_len)
-    result = invert_sh_packet(observed, p_eff)
-    return InversionResult(
-        raw_estimates=result.raw_estimates,
-        clamped_normalized=result.clamped_normalized,
-        normalizer=result.normalizer,
-        negative_indices=result.negative_indices,
-        p=p_eff,
+    return replace(
+        invert_sh_packet(observed, p_eff),
         approximate=True,
         mean_packet_len=float(mean_packet_len),
     )

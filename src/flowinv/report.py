@@ -3,7 +3,8 @@
 Total variation is computed on per-bin mass fractions so bins weigh by the
 probability they carry, not their width.  The CCDF gap is the largest
 absolute difference between the two CCDFs evaluated at every integer length
-up to the larger support.
+up to the larger support; for a pooled estimate, which carries only per-bin
+mass, both CCDFs are evaluated at the bin boundaries only.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binning import bin_mass, _check_boundaries
-from .distributions import FlowLengthDistribution, ObservedDistribution
+from .binning import _check_boundaries, _tail_sums, bin_mass
+from .distributions import FlowLengthDistribution, ObservedDistribution, _counts_to_probs
 from .inversion import PooledInversion
 
 
@@ -44,27 +45,11 @@ def _mass_vector(data, what: str) -> np.ndarray:
     if isinstance(data, (FlowLengthDistribution, ObservedDistribution)):
         return np.asarray(data.probs, dtype=float)
     if isinstance(data, Mapping):
-        if not data:
-            raise ValueError(f"{what} histogram is empty")
-        vec = np.zeros(max(data))
-        for length, count in data.items():
-            if length < 1:
-                raise ValueError(f"{what}: invalid flow length {length!r}")
-            vec[length - 1] = count
-        total = vec.sum()
-        if total <= 0:
-            raise ValueError(f"{what} histogram has no mass")
-        return vec / total
+        return _counts_to_probs(data, what)
     vec = np.asarray(data, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d vector")
     return vec
-
-
-def _ccdf_values(mass: np.ndarray, out_len: int) -> np.ndarray:
-    padded = np.zeros(out_len)
-    padded[: len(mass)] = mass
-    return np.concatenate((np.cumsum(padded[::-1])[::-1][1:], [0.0]))
 
 
 def compare(
@@ -86,6 +71,7 @@ def compare(
     _check_boundaries(boundaries)
     boundaries = list(boundaries)
     true_mass = _mass_vector(true_data, "true")
+    true_bins = bin_mass(true_mass, boundaries)
 
     if isinstance(estimate, PooledInversion):
         if list(estimate.boundaries) != boundaries:
@@ -95,7 +81,9 @@ def compare(
             )
         est_bins = np.asarray(estimate.clamped, dtype=float)
         raw_bins = np.asarray(estimate.raw, dtype=float)
-        est_mass = None
+        # a pooled estimate says nothing within a bin: compare the CCDFs
+        # at the bin boundaries only
+        true_tail, est_tail = _tail_sums(true_bins), _tail_sums(est_bins)
     else:
         est_mass = _mass_vector(estimate, "estimate")
         est_bins = bin_mass(est_mass, boundaries)
@@ -104,26 +92,16 @@ def compare(
             if estimate_raw is not None
             else None
         )
+        out_len = max(len(true_mass), len(est_mass))
+        true_tail = _tail_sums(np.pad(true_mass, (0, out_len - len(true_mass))))
+        est_tail = _tail_sums(np.pad(est_mass, (0, out_len - len(est_mass))))
 
-    true_bins = bin_mass(true_mass, boundaries)
     total_variation = 0.5 * float(np.abs(true_bins - est_bins).sum())
-
+    gap = float(np.abs(true_tail - est_tail).max())
     sampled_bins = (
         bin_mass(_mass_vector(sampled, "sampled"), boundaries)
         if sampled is not None
         else None
-    )
-
-    if est_mass is None:
-        # CCDF of a pooled estimate: spread each bin's mass at its low edge.
-        est_mass = np.zeros(boundaries[-1] - 1)
-        for k, lo in enumerate(boundaries[:-1]):
-            est_mass[lo - 1] = est_bins[k]
-    out_len = max(len(true_mass), len(est_mass))
-    gap = float(
-        np.abs(
-            _ccdf_values(true_mass, out_len) - _ccdf_values(est_mass, out_len)
-        ).max()
     )
 
     table = [

@@ -2,6 +2,7 @@ import json
 
 from flowinv.cli import main
 from flowinv.flowtable import read_flow_csv
+from flowinv.inversion import effective_packet_probability
 from flowinv.report import load_report
 
 
@@ -59,9 +60,15 @@ def test_syn_invert_path(tmp_path):
     assert main(["invert", "--in", str(sample_csv), "--method", "syn",
                  "--out", str(result_json)]) == 0
     payload = json.loads(result_json.read_text())
+    assert set(payload) == {"p", "C", "raw", "clamped", "negative_indices", "observed",
+                            "binned", "method", "tcp_only", "counts", "approximate"}
     assert payload["tcp_only"] is True
+    assert payload["approximate"] is False
+    assert payload["method"] == "syn" and payload["p"] == 1.0
     assert payload["C"] == 1.0
-    assert payload["raw"] == payload["clamped"]
+    assert payload["negative_indices"] == []
+    assert payload["raw"] == payload["clamped"] == payload["observed"]
+    assert payload["binned"]["raw"] == payload["binned"]["clamped"]
 
 
 def test_sh_byte_invert_uses_sample_mean(tmp_path):
@@ -77,6 +84,7 @@ def test_sh_byte_invert_uses_sample_mean(tmp_path):
     payload = json.loads(result_json.read_text())
     assert payload["approximate"] is True
     assert payload["mean_packet_len"] > 100
+    assert payload["p"] == effective_packet_probability(0.0005, payload["mean_packet_len"])
 
 
 def test_usage_errors_exit_one(capsys):
@@ -108,6 +116,21 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["invert", "--in", str(flows_csv), "--method", "sh-packet",
                  "--out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+
+
+def test_compare_estimate_without_positive_mass_exits_two(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    truth_csv = tmp_path / "truth.csv"
+    estimate = tmp_path / "bad.json"
+    assert main(["generate", "--flows", "10", "--max-len", "5",
+                 "--seed", "1", "--out", str(trace)]) == 0
+    assert main(["flows", "--in", str(trace), "--out", str(truth_csv)]) == 0
+    estimate.write_text(json.dumps({"p": 0.5, "C": 1.0, "raw": [0.0, -1.0],
+                                    "clamped": [0.0, 0.0], "negative_indices": [2]}))
+    assert main(["compare", "--truth", str(truth_csv), "--estimate", str(estimate),
+                 "--out", str(tmp_path / "report.csv")]) == 2
+    assert "no positive mass" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_non_utf8_trace_exits_two(tmp_path, capsys):

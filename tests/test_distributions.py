@@ -18,6 +18,14 @@ def test_negative_probabilities_rejected():
         FlowLengthDistribution([1.1, -0.1])
 
 
+def test_non_finite_probabilities_rejected():
+    for bad in ([np.nan], [0.5, np.inf], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            FlowLengthDistribution(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        ObservedDistribution([np.nan], 0.5)
+
+
 def test_sum_must_be_one_within_tolerance():
     with pytest.raises(ValueError, match="sum to 1"):
         FlowLengthDistribution([0.5, 0.499])

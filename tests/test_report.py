@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from flowinv.binning import make_bins
 from flowinv.distributions import FlowLengthDistribution, ObservedDistribution
-from flowinv.inversion import invert_sh_packet_pooled
+from flowinv.inversion import invert_sh_packet_pooled, pool_raw_estimates
 from flowinv.report import compare, emit_plot_data, load_report
 
 
@@ -55,6 +57,21 @@ def test_pooled_estimate_requires_matching_bins():
 def test_bins_must_cover_support():
     with pytest.raises(ValueError, match="extend the bins"):
         compare({1: 1, 9: 1}, {1: 1}, [1, 2, 4])
+    with pytest.raises(ValueError, match="true histogram has a negative"):
+        compare({1: -1, 2: 3}, {1: 1}, [1, 2, 4])
+    with pytest.raises(ValueError, match="estimate histogram has no mass"):
+        compare({1: 1}, {1: 0, 2: 0}, [1, 2, 4])
+
+
+def test_pooled_ccdf_gap_of_exact_mass_is_zero():
+    rng = np.random.default_rng(20)
+    lengths = np.minimum(rng.zipf(2.5, 20_000), 10_000)
+    truth = dict(Counter(lengths.tolist()))
+    bounds = make_bins(max(truth))
+    exact = pool_raw_estimates(FlowLengthDistribution.from_counts(truth).probs, bounds, 1.0)
+    report = compare(truth, exact, bounds)
+    assert report.total_variation <= 1e-12
+    assert report.ccdf_max_gap <= 1e-12
 
 
 def test_per_bin_table_columns():
