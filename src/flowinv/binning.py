@@ -21,7 +21,7 @@ from .distributions import (
     FlowLengthDistribution,
     ObservedDistribution,
     _counts_to_probs,
-    _histogram_lengths,
+    _histogram_arrays,
 )
 
 
@@ -90,10 +90,10 @@ def bin_histogram(
     """Average the per-length counts over each bin.
 
     Every observed length must fall below the last boundary; lengths below 1
-    are rejected.
+    and negative or non-finite counts are rejected.
     """
     _check_boundaries(boundaries)
-    lengths = _histogram_lengths(counts)
+    lengths, _ = _histogram_arrays(counts)
     if lengths.size and lengths.max() >= boundaries[-1]:
         raise ValueError(
             f"observed length {lengths.max()} >= final boundary {boundaries[-1]}; "

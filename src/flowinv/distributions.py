@@ -33,14 +33,17 @@ def _as_prob_vector(probs, what: str) -> np.ndarray:
     return arr
 
 
-def _histogram_lengths(counts: Mapping[int, int], what: str = "flow length") -> np.ndarray:
-    """The keys of a length -> count histogram as integers, checked to be >= 1."""
+def _histogram_arrays(counts: Mapping[int, int], what: str = "flow length"):
+    """A length -> count histogram as (integer lengths >= 1, counts >= 0)."""
     lengths = np.array(list(counts), dtype=float)
     valid = np.isfinite(lengths) & (lengths >= 1) & (lengths == np.floor(lengths))
     if not valid.all():
         bad = list(counts)[int(np.argmin(valid))]
         raise ValueError(f"{what} histogram: invalid flow length {bad!r}")
-    return lengths.astype(np.int64)
+    values = np.array(list(counts.values()), dtype=float)
+    if not (np.isfinite(values) & (values >= 0.0)).all():
+        raise ValueError(f"{what} histogram has a negative or non-finite count")
+    return lengths.astype(np.int64), values
 
 
 def _counts_to_probs(counts: Mapping[int, int], what: str = "flow length") -> np.ndarray:
@@ -49,12 +52,9 @@ def _counts_to_probs(counts: Mapping[int, int], what: str = "flow length") -> np
     ``probs[i]`` is the share of length ``i + 1``.  Lengths must be integers
     >= 1 and counts finite and non-negative, with a positive total.
     """
-    lengths = _histogram_lengths(counts, what)
+    lengths, values = _histogram_arrays(counts, what)
     if lengths.size == 0:
         raise ValueError(f"{what} histogram is empty")
-    values = np.array(list(counts.values()), dtype=float)
-    if not (np.isfinite(values) & (values >= 0.0)).all():
-        raise ValueError(f"{what} histogram has a negative or non-finite count")
     vec = np.zeros(int(lengths.max()))
     vec[lengths - 1] = values
     total = vec.sum()
@@ -91,7 +91,7 @@ class FlowLengthDistribution:
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "FlowLengthDistribution":
-        return cls.from_counts(Counter(int(n) for n in lengths))
+        return cls.from_counts(Counter(lengths))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "FlowLengthDistribution":
@@ -123,4 +123,4 @@ class ObservedDistribution:
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int], p_used: float) -> "ObservedDistribution":
-        return cls(_pinned_probs(Counter(int(n) for n in lengths)), p_used)
+        return cls(_pinned_probs(Counter(lengths)), p_used)

@@ -1,12 +1,14 @@
 """NetFlow-style flow construction over a (possibly sampled) packet stream.
 
-The table consumes one time-ordered packet stream.  A flow key that is being
-held keeps accumulating packets; an idle gap strictly greater than the flow
-timeout terminates the current record and opens a fresh one on the same key
-(hold status survives the split).  The whole buffer is exported, and all
-tracking state cleared, whenever it reaches capacity or the export timer
-fires; the timer restarts from the export instant.  Trace time drives
-everything; there is no wall clock.
+The table consumes one time-ordered packet stream.  Hold rule: every sampling
+method except ``packet`` holds a key from its first admitted packet until the
+next export, admitting each later packet of that key without a new decision;
+``packet`` never holds and decides every packet afresh.  An idle gap strictly
+greater than the flow timeout terminates the current record and opens a fresh
+one on the same key (the hold survives the split).  The whole buffer is
+exported, and all tracking state cleared, whenever it reaches capacity or the
+export timer fires; the timer restarts from the export instant.  Trace time
+drives everything; there is no wall clock.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .sampling import Decision, SamplerConfig, decide
+from .sampling import Decision, SamplerConfig, _holds, decide
 from .trace import FiveTuple, PacketRecord, _gc_paused
 
 
@@ -66,29 +68,6 @@ class FlowSet:
     packets_admitted: int = 0
 
 
-class _LiveFlow:
-    __slots__ = (
-        "key",
-        "packet_count",
-        "byte_count",
-        "first_seen",
-        "last_seen",
-        "syn_count",
-        "held",
-        "seq",
-    )
-
-    def __init__(self, key, t, byte_len, syn, held, seq):
-        self.key = key
-        self.packet_count = 1
-        self.byte_count = byte_len
-        self.first_seen = t
-        self.last_seen = t
-        self.syn_count = 1 if syn else 0
-        self.held = held
-        self.seq = seq
-
-
 def _flow_id(key: FiveTuple, window: int, seq: int) -> str:
     return (
         f"{key.protocol}-{key.src_addr}:{key.src_port}-"
@@ -112,35 +91,22 @@ def build_flows(
     capacity = config.buffer_capacity
 
     live: dict = {}
-    window_records: list[_LiveFlow] = []
-    seq_on_key: Counter = Counter()
+    seq_on_key: dict = {}
     records: list[FlowRecord] = []
     boundaries: list[float] = []
+    holds = _holds(sampler)
     window_start = 0.0
+    window_count = 0
     last_ts = 0.0
     seen = 0
     admitted = 0
 
     def export(at: float) -> None:
-        nonlocal window_records, window_start
-        window = len(boundaries)
-        for rec in window_records:
-            records.append(
-                FlowRecord(
-                    _flow_id(rec.key, window, rec.seq),
-                    rec.key,
-                    rec.packet_count,
-                    rec.byte_count,
-                    rec.first_seen,
-                    rec.last_seen,
-                    rec.syn_count,
-                    window,
-                )
-            )
+        nonlocal window_count, window_start
         boundaries.append(at)
         live.clear()
         seq_on_key.clear()
-        window_records = []
+        window_count = 0
         window_start = at
 
     for index, pkt in enumerate(packets):
@@ -156,16 +122,28 @@ def build_flows(
         seen += 1
 
         key = pkt.key
-        syn = "S" in pkt.tcp_flags
         rec = live.get(key)
-        if rec is not None and rec.held:
-            if t - rec.last_seen > flow_timeout:
-                # Idle gap: terminate the record, keep holding the key.
-                seq = seq_on_key[key] + 1
+        held = rec is not None and holds
+        if held or decide(sampler, pkt, False, index) is not Decision.SKIP:
+            syn = "S" in pkt.tcp_flags
+            if rec is None or t - rec.last_seen > flow_timeout:
+                # First admitted packet, or an idle gap: open a record.
+                seq = 0 if rec is None else seq_on_key[key] + 1
                 seq_on_key[key] = seq
-                rec = _LiveFlow(key, t, pkt.byte_len, syn, True, seq)
+                window = len(boundaries)
+                rec = FlowRecord(
+                    _flow_id(key, window, seq),
+                    key,
+                    1,
+                    pkt.byte_len,
+                    t,
+                    t,
+                    1 if syn else 0,
+                    window,
+                )
                 live[key] = rec
-                window_records.append(rec)
+                records.append(rec)
+                window_count += 1
             else:
                 rec.packet_count += 1
                 rec.byte_count += pkt.byte_len
@@ -173,36 +151,11 @@ def build_flows(
                 if syn:
                     rec.syn_count += 1
             admitted += 1
-        else:
-            decision = decide(sampler, pkt, False, index)
-            if decision is not Decision.SKIP:
-                if rec is not None and t - rec.last_seen > flow_timeout:
-                    rec = None
-                if rec is None:
-                    seq = seq_on_key[key] + 1 if key in seq_on_key else 0
-                    seq_on_key[key] = seq
-                    rec = _LiveFlow(
-                        key,
-                        t,
-                        pkt.byte_len,
-                        syn,
-                        decision is Decision.SAMPLE_AND_TRACK,
-                        seq,
-                    )
-                    live[key] = rec
-                    window_records.append(rec)
-                else:
-                    rec.packet_count += 1
-                    rec.byte_count += pkt.byte_len
-                    rec.last_seen = t
-                    if syn:
-                        rec.syn_count += 1
-                admitted += 1
 
-        if len(window_records) >= capacity or t - window_start > export_timeout:
+        if window_count >= capacity or t - window_start > export_timeout:
             export(t)
 
-    if window_records:
+    if window_count:
         export(last_ts)
     return FlowSet(records, boundaries, packets_seen=seen, packets_admitted=admitted)
 

@@ -17,7 +17,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .binning import _check_boundaries, _tail_sums, bin_mass
-from .distributions import FlowLengthDistribution, ObservedDistribution, _counts_to_probs
+from .distributions import (
+    FlowLengthDistribution,
+    ObservedDistribution,
+    _as_prob_vector,
+    _counts_to_probs,
+)
 from .inversion import PooledInversion
 
 
@@ -66,7 +71,7 @@ def compare(
     ``estimate`` may be a distribution, a histogram, or a PooledInversion;
     a pooled estimate must carry exactly the requested boundaries (bin
     mismatch is an error).  ``sampled`` and ``estimate_raw`` fill the extra
-    table columns when available.
+    table columns when available; a plain ``sampled`` vector must sum to 1.
     """
     _check_boundaries(boundaries)
     boundaries = list(boundaries)
@@ -98,11 +103,10 @@ def compare(
 
     total_variation = 0.5 * float(np.abs(true_bins - est_bins).sum())
     gap = float(np.abs(true_tail - est_tail).max())
-    sampled_bins = (
-        bin_mass(_mass_vector(sampled, "sampled"), boundaries)
-        if sampled is not None
-        else None
-    )
+    sampled_bins = None
+    if sampled is not None:
+        sampled_mass = _as_prob_vector(_mass_vector(sampled, "sampled"), "sampled")
+        sampled_bins = bin_mass(sampled_mass, boundaries)
 
     table = [
         BinRow(

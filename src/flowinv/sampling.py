@@ -27,7 +27,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import optimize, stats
 
-from .distributions import FlowLengthDistribution, ObservedDistribution
+from .binning import _tail_sums
+from .distributions import FlowLengthDistribution, ObservedDistribution, _counts_to_probs
 from .trace import PacketRecord
 
 METHODS = ("packet", "sh_packet", "sh_byte", "sh_syn", "always")
@@ -79,6 +80,8 @@ def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
     if method in ("packet", "sh_packet"):
         return config.p
     if method == "sh_byte":
+        if config.p == 1.0:
+            return 1.0  # every byte is sampled; log1p(-1) is undefined
         return -math.expm1(packet.byte_len * math.log1p(-config.p))
     # sh_syn: only a SYN packet can start a hold
     return config.p if "S" in packet.tcp_flags else 0.0
@@ -112,6 +115,11 @@ def decide(
     return Decision.SKIP
 
 
+def _holds(config: SamplerConfig) -> bool:
+    """Hold rule: every method but ``packet`` keeps a key until the next export."""
+    return config.method != "packet"
+
+
 def sample_packets(
     packets: Iterable[PacketRecord], config: SamplerConfig
 ) -> list[PacketRecord]:
@@ -121,19 +129,17 @@ def sample_packets(
     (record splitting on idle gaps is the flow table's business and does not
     change which packets are kept).
     """
+    holds = _holds(config)
     held: set = set()
     kept: list[PacketRecord] = []
     for index, pkt in enumerate(packets):
         key = pkt.key
         if key in held:
             kept.append(pkt)
-            continue
-        decision = decide(config, pkt, False, index)
-        if decision is Decision.SAMPLE_AND_TRACK:
-            held.add(key)
+        elif decide(config, pkt, False, index) is not Decision.SKIP:
             kept.append(pkt)
-        elif decision is Decision.SAMPLE_ONLY:
-            kept.append(pkt)
+            if holds:
+                held.add(key)
     return kept
 
 
@@ -208,12 +214,16 @@ def forward_sh_packet(
 
 @dataclass(frozen=True)
 class _PilotProfile:
-    """Per-packet flow structure extracted once from a pilot stream."""
+    """Hold-start opportunities per flow position, extracted once from a pilot.
 
-    total_packets: int
-    packet_prefix: np.ndarray  # within-flow packet ordinal (1-based)
-    byte_prefix: np.ndarray  # within-flow cumulative bytes including self
-    syn_prefix: np.ndarray  # within-flow cumulative SYN count including self
+    ``weights[method][i]`` counts packets, bytes or SYNs up to and including
+    position i; the position stands for ``multiplicity[i]`` packets if given,
+    and ``total_packets`` sums the packets of all positions.
+    """
+
+    total_packets: float
+    weights: Mapping[str, np.ndarray]
+    multiplicity: np.ndarray | None = None
 
 
 def _profile_stream(packets: Sequence[PacketRecord]) -> _PilotProfile:
@@ -234,7 +244,16 @@ def _profile_stream(packets: Sequence[PacketRecord]) -> _PilotProfile:
         pkt_prefix[i] = pos
         byte_prefix[i] = b
         syn_prefix[i] = s
-    return _PilotProfile(len(packets), pkt_prefix, byte_prefix, syn_prefix)
+    weights = {"sh_packet": pkt_prefix, "sh_byte": byte_prefix, "sh_syn": syn_prefix}
+    return _PilotProfile(len(packets), weights)
+
+
+def _profile_histogram(counts: Mapping[int, int]) -> _PilotProfile:
+    """Profile of a flow-length histogram: position k holds P(L >= k) packets."""
+    probs = _counts_to_probs(counts, "pilot")
+    at_least = probs + _tail_sums(probs)
+    ordinals = np.arange(1.0, len(probs) + 1)
+    return _PilotProfile(float(at_least.sum()), {"sh_packet": ordinals}, at_least)
 
 
 def _expected_fraction(profile: _PilotProfile, method: str, p: float) -> float:
@@ -248,31 +267,14 @@ def _expected_fraction(profile: _PilotProfile, method: str, p: float) -> float:
         raise ValueError("empty pilot stream")
     if method == "packet":
         return p
-    p = min(p, 1.0 - 1e-16)  # keep log1p finite; indistinguishable from 1.0
-    c = math.log1p(-p)
-    if method == "sh_packet":
-        weights = profile.packet_prefix
-    elif method == "sh_byte":
-        weights = profile.byte_prefix
-    elif method == "sh_syn":
-        weights = profile.syn_prefix
-    else:
+    weights = profile.weights.get(method)
+    if weights is None:
         raise ValueError(f"cannot calibrate method {method!r}")
-    kept = -np.expm1(weights * c)
+    p = min(p, 1.0 - 1e-16)  # keep log1p finite; indistinguishable from 1.0
+    kept = -np.expm1(weights * math.log1p(-p))
+    if profile.multiplicity is not None:
+        kept *= profile.multiplicity
     return float(kept.sum()) / profile.total_packets
-
-
-def _expected_fraction_from_histogram(counts: Mapping[int, int], p: float) -> float:
-    lengths = np.array(sorted(counts), dtype=float)
-    n = np.array([counts[int(k)] for k in lengths], dtype=float)
-    total = float((lengths * n).sum())
-    p = min(p, 1.0 - 1e-16)
-    c = math.log1p(-p)
-    max_len = int(lengths[-1])
-    per_packet = -np.expm1(np.arange(1, max_len + 1) * c)
-    g = np.cumsum(per_packet)  # expected kept packets for a flow of length L
-    kept = float((n * g[lengths.astype(int) - 1]).sum())
-    return kept / total
 
 
 def calibrate_rate(
@@ -301,12 +303,10 @@ def calibrate_rate(
     if isinstance(pilot, Mapping):
         if method != "sh_packet":
             raise ValueError(f"method {method!r} needs a pilot packet stream")
-        if not pilot:
-            raise ValueError("empty pilot histogram")
-        fraction = lambda p: _expected_fraction_from_histogram(pilot, p)
+        profile = _profile_histogram(pilot)
     else:
         profile = _profile_stream(pilot)
-        fraction = lambda p: _expected_fraction(profile, method, p)
+    fraction = lambda p: _expected_fraction(profile, method, p)
 
     attainable = fraction(1.0)
     if attainable < target_fraction:

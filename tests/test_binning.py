@@ -70,7 +70,10 @@ def test_bin_histogram_rejects_out_of_range_lengths():
         bin_histogram({0: 1}, [1, 2, 4])
     with pytest.raises(ValueError, match="invalid flow length"):
         bin_histogram({1.5: 2}, [1, 2, 4])
-    # ccdf validates a histogram the same way, and also its counts
+    for bad in ({1: -3, 2: 1}, {1: float("nan")}, {2: float("inf")}):
+        with pytest.raises(ValueError, match="negative or non-finite count"):
+            bin_histogram(bad, [1, 2, 4])
+    # ccdf validates a histogram the same way, and also needs positive mass
     for bad in ({1: 0, 3: 0}, {2: -1, 3: 2}, {1.5: 2}, {}):
         with pytest.raises(ValueError):
             ccdf(bad)

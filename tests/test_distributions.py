@@ -55,6 +55,13 @@ def test_from_counts_rejects_bad_lengths():
         FlowLengthDistribution.from_counts({0: 3})
     with pytest.raises(ValueError):
         FlowLengthDistribution.from_counts({2: -1})
+    # a length of 1.5 packets is an input error, not a flow of 1 packet
+    with pytest.raises(ValueError, match="invalid flow length 1.5"):
+        FlowLengthDistribution.from_lengths([1.5, 2.7])
+    with pytest.raises(ValueError, match="invalid flow length 2.5"):
+        ObservedDistribution.from_lengths([1, 2.5], 0.5)
+    integral = FlowLengthDistribution.from_lengths(np.array([2.0, 1.0]))
+    assert integral.probs.tolist() == [0.5, 0.5]
 
 
 def test_from_counts_normalizes_large_supports():

@@ -88,6 +88,16 @@ def test_per_bin_table_columns():
     assert row.inverted_clamped_mass == pytest.approx(0.5)
 
 
+def test_sampled_vector_must_be_probabilities():
+    truth = {1: 1, 2: 1}
+    estimate = FlowLengthDistribution([0.5, 0.5])
+    for bad in ([float("nan"), 2.0], [-0.5, 1.5], [0.5, 0.6]):
+        with pytest.raises(ValueError, match="sampled"):
+            compare(truth, estimate, [1, 2, 4], sampled=bad)
+    report = compare(truth, estimate, [1, 2, 4], sampled=[0.25, 0.75])
+    assert [row.sampled_mass for row in report.per_bin_table] == [0.25, 0.75]
+
+
 def test_emit_round_trips_and_is_deterministic(tmp_path):
     truth = {1: 5, 2: 3, 4: 2}
     estimate = FlowLengthDistribution([0.45, 0.35, 0.0, 0.2])

@@ -50,6 +50,13 @@ def test_sh_byte_start_probability_increases_with_bytes():
     assert all(b > a for a, b in zip(probs, probs[1:]))
 
 
+def test_sh_byte_at_p_one_samples_every_packet():
+    config = SamplerConfig("sh_byte", 1.0)
+    assert start_probability(config, _pkt(nbytes=1500)) == 1.0
+    packets = [_pkt(nbytes=40), _pkt(key=UDP_KEY, nbytes=1500)]
+    assert sample_packets(packets, config) == packets
+
+
 def test_sh_syn_never_starts_without_syn():
     config = SamplerConfig("sh_syn", 1.0, seed=3)
     for index in range(50):
@@ -269,6 +276,11 @@ def test_calibrate_histogram_only_for_packet_lengths():
         calibrate_rate({10: 5}, "sh_byte", 0.01)
     with pytest.raises(ValueError):
         calibrate_rate({10: 5}, "sh_packet", 1.5)
+    # malformed histogram pilots: non-integer or zero length, no mass,
+    # negative count
+    for bad in ({1.5: 2, 3: 1}, {5: 0}, {2: -1, 3: 5}, {0: 3, 2: 1}):
+        with pytest.raises(ValueError, match="pilot histogram"):
+            calibrate_rate(bad, "sh_packet", 0.01)
 
 
 # ---------------------------------------------------------------------------
