@@ -29,10 +29,8 @@ from .inversion import (
 from .report import ComparisonReport, compare, emit_plot_data, load_report
 from .sampling import (
     ALWAYS,
-    Decision,
     SamplerConfig,
     calibrate_rate,
-    decide,
     forward_packet_sampling,
     forward_sh_packet,
     resample_as_packet_sample,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALWAYS",
     "ComparisonReport",
-    "Decision",
     "FiveTuple",
     "FlowLengthDistribution",
     "FlowRecord",
@@ -77,7 +74,6 @@ __all__ = [
     "calibrate_rate",
     "ccdf",
     "compare",
-    "decide",
     "emit_plot_data",
     "flow_length_histogram",
     "forward_packet_sampling",

@@ -17,12 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import (
-    FlowLengthDistribution,
-    ObservedDistribution,
-    _counts_to_probs,
-    _histogram_arrays,
-)
+from .distributions import _histogram_arrays, _probs_of
 
 
 def ratio_for_bins_per_decade(bins_per_decade: float) -> float:
@@ -132,17 +127,11 @@ def bin_mass(values: np.ndarray, boundaries: Sequence[int]) -> np.ndarray:
 def ccdf(data) -> list[tuple[int, float]]:
     """Complementary CDF: pairs (x, P(length > x)) for x = 1 .. max length.
 
-    Accepts a distribution object or a length -> count histogram.  The value
-    at the maximum length is exactly 0 and P(length > 0) is implicitly 1.
+    Accepts a distribution object, a length -> count histogram or a
+    probability vector.  The value at the maximum length is exactly 0 and
+    P(length > 0) is implicitly 1.
     """
-    if isinstance(data, (FlowLengthDistribution, ObservedDistribution)):
-        probs = np.asarray(data.probs, dtype=float)
-    elif isinstance(data, Mapping):
-        probs = _counts_to_probs(data)
-    else:
-        probs = np.asarray(data, dtype=float)
-    if probs.size == 0:
-        raise ValueError("cannot compute a CCDF of an empty distribution")
+    probs = _probs_of(data, "ccdf input")
     return list(zip(range(1, len(probs) + 1), _tail_sums(probs).tolist()))
 
 

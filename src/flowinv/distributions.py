@@ -124,3 +124,17 @@ class ObservedDistribution:
     @classmethod
     def from_lengths(cls, lengths: Iterable[int], p_used: float) -> "ObservedDistribution":
         return cls(_pinned_probs(Counter(lengths)), p_used)
+
+
+def _probs_of(data, what: str) -> np.ndarray:
+    """Per-length probabilities of a distribution, a length -> count
+    histogram or a non-empty probability vector."""
+    if isinstance(data, (FlowLengthDistribution, ObservedDistribution)):
+        probs = data.probs
+    elif isinstance(data, Mapping):
+        probs = _counts_to_probs(data, what)
+    else:
+        probs = _as_prob_vector(data, what)
+    if probs.size == 0:
+        raise ValueError(f"{what} is empty")
+    return probs

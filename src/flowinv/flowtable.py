@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .sampling import Decision, SamplerConfig, _holds, decide
+from .sampling import SamplerConfig, _holds, _starts
 from .trace import FiveTuple, PacketRecord, _gc_paused
 
 
@@ -123,8 +123,7 @@ def build_flows(
 
         key = pkt.key
         rec = live.get(key)
-        held = rec is not None and holds
-        if held or decide(sampler, pkt, False, index) is not Decision.SKIP:
+        if (rec is not None and holds) or _starts(sampler, pkt, index):
             syn = "S" in pkt.tcp_flags
             if rec is None or t - rec.last_seen > flow_timeout:
                 # First admitted packet, or an idle gap: open a record.

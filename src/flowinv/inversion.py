@@ -85,6 +85,8 @@ def _clamp_renormalize(raw: np.ndarray) -> np.ndarray:
     total = clamped.sum()
     if not total > 0.0:
         raise ValueError("estimates carry no positive mass to renormalize")
+    if not np.isfinite(total):
+        raise ValueError("estimates carry non-finite mass; cannot renormalize")
     clamped /= total
     return clamped
 

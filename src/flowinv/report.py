@@ -12,17 +12,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .binning import _check_boundaries, _tail_sums, bin_mass
-from .distributions import (
-    FlowLengthDistribution,
-    ObservedDistribution,
-    _as_prob_vector,
-    _counts_to_probs,
-)
+from .distributions import _probs_of
 from .inversion import PooledInversion
 
 
@@ -45,18 +40,6 @@ class ComparisonReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _mass_vector(data, what: str) -> np.ndarray:
-    """Normalize a histogram / distribution / vector to per-length mass."""
-    if isinstance(data, (FlowLengthDistribution, ObservedDistribution)):
-        return np.asarray(data.probs, dtype=float)
-    if isinstance(data, Mapping):
-        return _counts_to_probs(data, what)
-    vec = np.asarray(data, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError(f"{what} must be a non-empty 1-d vector")
-    return vec
-
-
 def compare(
     true_data,
     estimate,
@@ -68,14 +51,16 @@ def compare(
 ) -> ComparisonReport:
     """Build a comparison report between a reference and an estimate.
 
-    ``estimate`` may be a distribution, a histogram, or a PooledInversion;
-    a pooled estimate must carry exactly the requested boundaries (bin
-    mismatch is an error).  ``sampled`` and ``estimate_raw`` fill the extra
-    table columns when available; a plain ``sampled`` vector must sum to 1.
+    ``true_data``, ``estimate`` and ``sampled`` may each be a distribution,
+    a histogram or a probability vector, which must sum to 1; ``estimate``
+    may also be a PooledInversion, which must carry exactly the requested
+    boundaries (bin mismatch is an error).  ``sampled`` and the raw 1-d
+    vector ``estimate_raw``, which may be negative, fill the extra table
+    columns when available.
     """
     _check_boundaries(boundaries)
     boundaries = list(boundaries)
-    true_mass = _mass_vector(true_data, "true")
+    true_mass = _probs_of(true_data, "true")
     true_bins = bin_mass(true_mass, boundaries)
 
     if isinstance(estimate, PooledInversion):
@@ -90,13 +75,15 @@ def compare(
         # at the bin boundaries only
         true_tail, est_tail = _tail_sums(true_bins), _tail_sums(est_bins)
     else:
-        est_mass = _mass_vector(estimate, "estimate")
+        est_mass = _probs_of(estimate, "estimate")
         est_bins = bin_mass(est_mass, boundaries)
-        raw_bins = (
-            bin_mass(_mass_vector(estimate_raw, "estimate_raw"), boundaries)
-            if estimate_raw is not None
-            else None
-        )
+        raw_bins = None
+        if estimate_raw is not None:
+            # raw estimates may be negative: only their shape is checked
+            raw = np.asarray(estimate_raw, dtype=float)
+            if raw.ndim != 1 or raw.size == 0:
+                raise ValueError("estimate_raw must be a non-empty 1-d vector")
+            raw_bins = bin_mass(raw, boundaries)
         out_len = max(len(true_mass), len(est_mass))
         true_tail = _tail_sums(np.pad(true_mass, (0, out_len - len(true_mass))))
         est_tail = _tail_sums(np.pad(est_mass, (0, out_len - len(est_mass))))
@@ -105,8 +92,7 @@ def compare(
     gap = float(np.abs(true_tail - est_tail).max())
     sampled_bins = None
     if sampled is not None:
-        sampled_mass = _as_prob_vector(_mass_vector(sampled, "sampled"), "sampled")
-        sampled_bins = bin_mass(sampled_mass, boundaries)
+        sampled_bins = bin_mass(_probs_of(sampled, "sampled"), boundaries)
 
     table = [
         BinRow(

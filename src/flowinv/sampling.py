@@ -18,7 +18,6 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,12 +38,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 class TruncationWarning(UserWarning):
     """A forward operator discarded tail mass above the reporting threshold."""
-
-
-class Decision(enum.Enum):
-    SAMPLE_AND_TRACK = "sample-and-track"
-    SAMPLE_ONLY = "sample-only"
-    SKIP = "skip"
 
 
 @dataclass(frozen=True)
@@ -72,47 +65,43 @@ def _uniform(seed: int, index: int) -> float:
     return (z >> 11) * (1.0 / (1 << 53))
 
 
-def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
-    """Probability that this packet starts a hold on an untracked flow."""
-    method = config.method
-    if method == "always":
-        return 1.0
-    if method in ("packet", "sh_packet"):
-        return config.p
+def _start_weight(method: str, packet: PacketRecord) -> int:
+    """Chances this packet carries to start a hold: one per packet, one per
+    byte for ``sh_byte``, and one per SYN for ``sh_syn``."""
     if method == "sh_byte":
-        if config.p == 1.0:
-            return 1.0  # every byte is sampled; log1p(-1) is undefined
-        return -math.expm1(packet.byte_len * math.log1p(-config.p))
-    # sh_syn: only a SYN packet can start a hold
-    return config.p if "S" in packet.tcp_flags else 0.0
+        return packet.byte_len
+    if method == "sh_syn":
+        return 1 if "S" in packet.tcp_flags else 0
+    return 1
 
 
-def decide(
-    config: SamplerConfig,
-    packet: PacketRecord,
-    flow_is_tracked: bool,
-    packet_index: int,
-) -> Decision:
-    """Per-packet sampling decision.
+def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
+    """Probability that this packet starts a hold on an untracked flow.
 
-    ``flow_is_tracked`` is the flow table's hold status for the packet's
-    flow; it is ignored by the ``packet`` method, which never tracks.
+    A packet with w start chances starts a hold with probability
+    1 - (1-p)**w; for ``packet`` it is the probability of keeping it.
     """
-    method = config.method
-    if method == "always":
-        return Decision.SAMPLE_AND_TRACK
-    if method == "packet":
-        if _uniform(config.seed & _MASK64, packet_index) < config.p:
-            return Decision.SAMPLE_ONLY
-        return Decision.SKIP
-    if flow_is_tracked:
-        return Decision.SAMPLE_AND_TRACK
+    if config.method == "always":
+        return 1.0
+    weight = _start_weight(config.method, packet)
+    if weight == 0:
+        return 0.0
+    if weight == 1 or config.p == 1.0:
+        return config.p  # log1p(-1) is undefined at p = 1
+    return -math.expm1(weight * math.log1p(-config.p))
+
+
+def _starts(config: SamplerConfig, packet: PacketRecord, packet_index: int) -> bool:
+    """Whether packet ``packet_index`` starts a hold (for ``packet``: is kept).
+
+    The caller admits packets of a held key without asking.
+    """
     prob = start_probability(config, packet)
+    if prob >= 1.0:
+        return True
     if prob <= 0.0:
-        return Decision.SKIP
-    if prob >= 1.0 or _uniform(config.seed & _MASK64, packet_index) < prob:
-        return Decision.SAMPLE_AND_TRACK
-    return Decision.SKIP
+        return False
+    return _uniform(config.seed, packet_index) < prob
 
 
 def _holds(config: SamplerConfig) -> bool:
@@ -136,7 +125,7 @@ def sample_packets(
         key = pkt.key
         if key in held:
             kept.append(pkt)
-        elif decide(config, pkt, False, index) is not Decision.SKIP:
+        elif _starts(config, pkt, index):
             kept.append(pkt)
             if holds:
                 held.add(key)
@@ -214,37 +203,27 @@ def forward_sh_packet(
 
 @dataclass(frozen=True)
 class _PilotProfile:
-    """Hold-start opportunities per flow position, extracted once from a pilot.
+    """Hold-start chances per flow position, extracted once from a pilot.
 
-    ``weights[method][i]`` counts packets, bytes or SYNs up to and including
-    position i; the position stands for ``multiplicity[i]`` packets if given,
-    and ``total_packets`` sums the packets of all positions.
+    ``weights[i]`` counts the chances of one method (packets, bytes or SYNs)
+    up to and including position i; the position stands for
+    ``multiplicity[i]`` packets if given, and ``total_packets`` sums the
+    packets of all positions.
     """
 
     total_packets: float
-    weights: Mapping[str, np.ndarray]
+    weights: np.ndarray
     multiplicity: np.ndarray | None = None
 
 
-def _profile_stream(packets: Sequence[PacketRecord]) -> _PilotProfile:
-    packet_pos: dict = {}
-    byte_sum: dict = {}
-    syn_sum: dict = {}
-    pkt_prefix = np.empty(len(packets))
-    byte_prefix = np.empty(len(packets))
-    syn_prefix = np.empty(len(packets))
+def _profile_stream(packets: Sequence[PacketRecord], method: str) -> _PilotProfile:
+    seen: dict = {}
+    weights = np.empty(len(packets))
     for i, pkt in enumerate(packets):
         key = pkt.key
-        pos = packet_pos.get(key, 0) + 1
-        packet_pos[key] = pos
-        b = byte_sum.get(key, 0) + pkt.byte_len
-        byte_sum[key] = b
-        s = syn_sum.get(key, 0) + (1 if "S" in pkt.tcp_flags else 0)
-        syn_sum[key] = s
-        pkt_prefix[i] = pos
-        byte_prefix[i] = b
-        syn_prefix[i] = s
-    weights = {"sh_packet": pkt_prefix, "sh_byte": byte_prefix, "sh_syn": syn_prefix}
+        w = seen.get(key, 0) + _start_weight(method, pkt)
+        seen[key] = w
+        weights[i] = w
     return _PilotProfile(len(packets), weights)
 
 
@@ -253,25 +232,20 @@ def _profile_histogram(counts: Mapping[int, int]) -> _PilotProfile:
     probs = _counts_to_probs(counts, "pilot")
     at_least = probs + _tail_sums(probs)
     ordinals = np.arange(1.0, len(probs) + 1)
-    return _PilotProfile(float(at_least.sum()), {"sh_packet": ordinals}, at_least)
+    return _PilotProfile(float(at_least.sum()), ordinals, at_least)
 
 
-def _expected_fraction(profile: _PilotProfile, method: str, p: float) -> float:
+def _expected_fraction(profile: _PilotProfile, p: float) -> float:
     """Expected kept-packet fraction, exact given the pilot's flow structure.
 
-    For the hold methods, packet k of a flow is kept iff a hold started at
-    or before k, which happens with probability 1 - (1-p)**w(k) where w(k)
-    counts the start opportunities seen so far (packets, bytes, or SYNs).
+    Packet k of a flow is kept iff a hold started at or before k, which
+    happens with probability 1 - (1-p)**w(k) where w(k) counts the start
+    chances seen so far.
     """
     if profile.total_packets == 0:
         raise ValueError("empty pilot stream")
-    if method == "packet":
-        return p
-    weights = profile.weights.get(method)
-    if weights is None:
-        raise ValueError(f"cannot calibrate method {method!r}")
     p = min(p, 1.0 - 1e-16)  # keep log1p finite; indistinguishable from 1.0
-    kept = -np.expm1(weights * math.log1p(-p))
+    kept = -np.expm1(profile.weights * math.log1p(-p))
     if profile.multiplicity is not None:
         kept *= profile.multiplicity
     return float(kept.sum()) / profile.total_packets
@@ -297,16 +271,16 @@ def calibrate_rate(
         raise ValueError(f"target_fraction must be in (0, 1), got {target_fraction}")
     if method == "packet":
         return target_fraction
-    if method == "always":
-        raise ValueError("the always strategy has no rate to calibrate")
+    if method not in ("sh_packet", "sh_byte", "sh_syn"):
+        raise ValueError(f"cannot calibrate method {method!r}")
 
     if isinstance(pilot, Mapping):
         if method != "sh_packet":
             raise ValueError(f"method {method!r} needs a pilot packet stream")
         profile = _profile_histogram(pilot)
     else:
-        profile = _profile_stream(pilot)
-    fraction = lambda p: _expected_fraction(profile, method, p)
+        profile = _profile_stream(pilot, method)
+    fraction = lambda p: _expected_fraction(profile, p)
 
     attainable = fraction(1.0)
     if attainable < target_fraction:
@@ -347,6 +321,6 @@ def resample_as_packet_sample(
         if pkt.key not in seen:
             seen.add(pkt.key)
             out.append(pkt)
-        elif _uniform(seed & _MASK64, index) < p:
+        elif _uniform(seed, index) < p:
             out.append(pkt)
     return out

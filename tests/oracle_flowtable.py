@@ -2,19 +2,73 @@
 
 A verbatim copy of the flow table as it stood before ``flowinv.flowtable``
 opened its ``FlowRecord``s directly: a ``_LiveFlow`` per open record, a
-per-record ``held`` flag, and a copy into ``FlowRecord`` at export.  Tests
-compare the package's table against it; faster implementations of the
-table must reproduce its ``FlowSet``s exactly.
+per-record ``held`` flag, and a copy into ``FlowRecord`` at export.  Its
+per-packet decision is a verbatim copy of ``Decision``, ``decide`` and
+``start_probability`` as they stood before ``flowinv.sampling`` stated each
+method's start weight once.  Tests compare the package's table and hold-start
+rule against them; faster implementations must reproduce their results
+exactly.
 """
 
 from __future__ import annotations
 
+import enum
+import math
 from collections import Counter
 from typing import Iterable
 
 from flowinv.flowtable import FlowRecord, FlowSet, FlowTableConfig
-from flowinv.sampling import Decision, SamplerConfig, decide
+from flowinv.sampling import _MASK64, SamplerConfig, _uniform
 from flowinv.trace import FiveTuple, PacketRecord, _gc_paused
+
+
+class Decision(enum.Enum):
+    SAMPLE_AND_TRACK = "sample-and-track"
+    SAMPLE_ONLY = "sample-only"
+    SKIP = "skip"
+
+
+def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
+    """Probability that this packet starts a hold on an untracked flow."""
+    method = config.method
+    if method == "always":
+        return 1.0
+    if method in ("packet", "sh_packet"):
+        return config.p
+    if method == "sh_byte":
+        if config.p == 1.0:
+            return 1.0  # every byte is sampled; log1p(-1) is undefined
+        return -math.expm1(packet.byte_len * math.log1p(-config.p))
+    # sh_syn: only a SYN packet can start a hold
+    return config.p if "S" in packet.tcp_flags else 0.0
+
+
+def decide(
+    config: SamplerConfig,
+    packet: PacketRecord,
+    flow_is_tracked: bool,
+    packet_index: int,
+) -> Decision:
+    """Per-packet sampling decision.
+
+    ``flow_is_tracked`` is the flow table's hold status for the packet's
+    flow; it is ignored by the ``packet`` method, which never tracks.
+    """
+    method = config.method
+    if method == "always":
+        return Decision.SAMPLE_AND_TRACK
+    if method == "packet":
+        if _uniform(config.seed & _MASK64, packet_index) < config.p:
+            return Decision.SAMPLE_ONLY
+        return Decision.SKIP
+    if flow_is_tracked:
+        return Decision.SAMPLE_AND_TRACK
+    prob = start_probability(config, packet)
+    if prob <= 0.0:
+        return Decision.SKIP
+    if prob >= 1.0 or _uniform(config.seed & _MASK64, packet_index) < prob:
+        return Decision.SAMPLE_AND_TRACK
+    return Decision.SKIP
 
 
 class _LiveFlow:

@@ -74,7 +74,9 @@ def test_bin_histogram_rejects_out_of_range_lengths():
         with pytest.raises(ValueError, match="negative or non-finite count"):
             bin_histogram(bad, [1, 2, 4])
     # ccdf validates a histogram the same way, and also needs positive mass
-    for bad in ({1: 0, 3: 0}, {2: -1, 3: 2}, {1.5: 2}, {}):
+    # and a plain vector as a probability vector
+    for bad in ({1: 0, 3: 0}, {2: -1, 3: 2}, {1.5: 2}, {},
+                [float("nan"), 2.0], [-1.0, 2.0], [0.5, 0.6], []):
         with pytest.raises(ValueError):
             ccdf(bad)
 

@@ -149,6 +149,22 @@ def test_compare_rejects_non_finite_observed_exits_two(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_compare_rejects_infinite_raw_estimate_exits_two(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    truth_csv = tmp_path / "truth.csv"
+    estimate = tmp_path / "bad.json"
+    assert main(["generate", "--flows", "200", "--max-len", "50",
+                 "--seed", "1", "--out", str(trace)]) == 0
+    assert main(["flows", "--in", str(trace), "--out", str(truth_csv)]) == 0
+    estimate.write_text(json.dumps({"p": 0.5, "C": 1.0, "raw": [float("inf"), 0.5],
+                                    "clamped": [1.0, 0.0], "negative_indices": []}))
+    assert "Infinity" in estimate.read_text()
+    assert main(["compare", "--truth", str(truth_csv), "--estimate", str(estimate),
+                 "--out", str(tmp_path / "report.csv")]) == 2
+    assert "non-finite mass" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_non_utf8_trace_exits_two(tmp_path, capsys):
     bad = tmp_path / "capture.bin"
     bad.write_bytes(b"\x0a\x0d\x0d\x0a\x1c\x00\x00\x00\xff\xfe binary\n")

@@ -1,11 +1,13 @@
-"""Differential test: ``build_flows`` against the scalar reference table."""
+"""Differential tests: ``build_flows`` against the scalar reference table,
+and the hold-start rule ``_starts`` against the reference ``decide``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowinv.flowtable import UNBOUNDED, FlowTableConfig, build_flows
-from flowinv.sampling import METHODS, SamplerConfig
+from flowinv.sampling import METHODS, SamplerConfig, _starts
 from flowinv.trace import FiveTuple, PacketRecord
+from oracle_flowtable import Decision, decide
 from oracle_flowtable import build_flows as oracle_build_flows
 
 KEYS = (
@@ -61,3 +63,27 @@ def test_build_flows_matches_scalar_oracle(start, rows, table, p, seed):
         assert got.window_boundaries == want.window_boundaries, method
         assert got.packets_seen == want.packets_seen, method
         assert got.packets_admitted == want.packets_admitted, method
+
+
+# seeds outside [0, 2**64) reach the counter unmasked; _uniform reduces mod 2**64
+_seeds = st.one_of(
+    st.sampled_from([0, -1, -(2**64) - 3, 2**64, 2**64 + 5, 2**70 + 1]),
+    st.integers(-(2**66), 2**66),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    p=st.one_of(st.just(1.0), st.sampled_from([0.5, 1e-3]), st.floats(0.0, 1.0, exclude_min=True)),
+    seed=_seeds,
+    k=st.integers(0, len(KEYS) - 1),
+    nbytes=st.integers(2, 1500),
+    flags=st.sampled_from(FLAGS),
+    index=st.integers(0, 10**9),
+)
+def test_starts_matches_scalar_oracle(p, seed, k, nbytes, flags, index):
+    pkt = _trace(0.0, [(0.0, k, nbytes, flags)])[0]
+    for method in METHODS:
+        config = SamplerConfig(method, p, seed)
+        want = decide(config, pkt, False, index) is not Decision.SKIP
+        assert _starts(config, pkt, index) is want, method

@@ -11,6 +11,7 @@ from flowinv.inversion import (
     invert_sh_packet,
     invert_sh_packet_pooled,
     mean_sampled_packet_len,
+    pool_raw_estimates,
     read_inversion_json,
     syn_estimate,
     write_inversion_json,
@@ -50,6 +51,16 @@ def test_invert_rejects_bad_inputs():
         invert_sh_packet(ObservedDistribution([1.0], 0.5), 0.0)
     with pytest.raises(ValueError):
         invert_sh_packet(ObservedDistribution(np.zeros(0), 0.5), 0.5)
+
+
+def test_non_finite_estimates_rejected():
+    for raw in ([np.inf, 0.5], [np.inf, -np.inf], [0.5, np.inf, -1.0]):
+        with pytest.raises(ValueError, match="non-finite mass"):
+            pool_raw_estimates(np.array(raw), [1, 2, 4], 0.1)
+    # the normalizer is the smallest subnormal, so raw = [-inf, inf]
+    observed = ObservedDistribution([5e-324, 1.0], 1e-17)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite mass"):
+        invert_sh_packet(observed, 1e-17)
 
 
 def test_round_trip_recovers_distribution():

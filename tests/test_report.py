@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,9 +92,15 @@ def test_per_bin_table_columns():
 def test_sampled_vector_must_be_probabilities():
     truth = {1: 1, 2: 1}
     estimate = FlowLengthDistribution([0.5, 0.5])
-    for bad in ([float("nan"), 2.0], [-0.5, 1.5], [0.5, 0.6]):
+    for bad in ([float("nan"), 2.0], [-0.5, 1.5], [0.5, 0.6], []):
         with pytest.raises(ValueError, match="sampled"):
             compare(truth, estimate, [1, 2, 4], sampled=bad)
+    # the estimate and the truth go through the same check
+    for bad in ([float("nan"), 2.0], [0.7, 0.7], [-1.0, 2.0]):
+        with pytest.raises(ValueError, match="estimate"):
+            compare(truth, bad, [1, 2, 4])
+        with pytest.raises(ValueError, match="true"):
+            compare(bad, estimate, [1, 2, 4])
     report = compare(truth, estimate, [1, 2, 4], sampled=[0.25, 0.75])
     assert [row.sampled_mass for row in report.per_bin_table] == [0.25, 0.75]
 
@@ -104,9 +111,9 @@ def test_emit_round_trips_and_is_deterministic(tmp_path):
     report = compare(truth, estimate, [1, 2, 4, 8], metadata={"p": 0.1, "method": "sh-packet"})
     path = tmp_path / "report.csv"
     csv_path, sidecar = emit_plot_data(report, path)
-    first = (open(csv_path, "rb").read(), open(sidecar, "rb").read())
+    first = (Path(csv_path).read_bytes(), Path(sidecar).read_bytes())
     emit_plot_data(report, path)
-    second = (open(csv_path, "rb").read(), open(sidecar, "rb").read())
+    second = (Path(csv_path).read_bytes(), Path(sidecar).read_bytes())
     assert first == second
 
     back = load_report(path)
@@ -122,7 +129,7 @@ def test_emit_empty_table_writes_header_only(tmp_path):
 
     report = ComparisonReport(0.0, 0.0, [], [], {})
     csv_path, _ = emit_plot_data(report, tmp_path / "empty.csv")
-    assert open(csv_path).read() == "bin_lo,bin_hi,true,sampled,inverted_raw,inverted_clamped\n"
+    assert Path(csv_path).read_text() == "bin_lo,bin_hi,true,sampled,inverted_raw,inverted_clamped\n"
 
 
 def test_emit_surfaces_io_errors_with_path(tmp_path):

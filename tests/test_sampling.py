@@ -8,11 +8,10 @@ from scipy import optimize
 from flowinv.distributions import FlowLengthDistribution
 from flowinv.sampling import (
     ALWAYS,
-    Decision,
     SamplerConfig,
     TruncationWarning,
+    _starts,
     calibrate_rate,
-    decide,
     forward_packet_sampling,
     forward_sh_packet,
     resample_as_packet_sample,
@@ -30,11 +29,13 @@ def _pkt(nbytes=100, syn=False, key=TCP_KEY, t=0.0):
 
 
 # ---------------------------------------------------------------------------
-# decide / start probabilities
+# hold-start rule / start probabilities
 
 
 def test_sh_byte_single_byte_reduces_to_p():
-    assert start_probability(SamplerConfig("sh_byte", 0.5), _pkt(nbytes=1)) == pytest.approx(0.5)
+    # one byte carries one start chance: exactly p, as for sh_packet
+    for p in (0.5, 0.3, 1e-3):
+        assert start_probability(SamplerConfig("sh_byte", p), _pkt(nbytes=1)) == p
 
 
 def test_sh_byte_start_probability_worked_value():
@@ -60,37 +61,45 @@ def test_sh_byte_at_p_one_samples_every_packet():
 def test_sh_syn_never_starts_without_syn():
     config = SamplerConfig("sh_syn", 1.0, seed=3)
     for index in range(50):
-        assert decide(config, _pkt(key=UDP_KEY), False, index) is Decision.SKIP
-        assert decide(config, _pkt(syn=False), False, index) is Decision.SKIP
+        assert not _starts(config, _pkt(key=UDP_KEY), index)
+        assert not _starts(config, _pkt(syn=False), index)
 
 
 @pytest.mark.parametrize("method", ["sh_packet", "sh_byte", "sh_syn"])
 def test_tracked_flows_always_sampled(method):
-    config = SamplerConfig(method, 0.001, seed=1)
-    for index in range(50):
-        assert decide(config, _pkt(), True, index) is Decision.SAMPLE_AND_TRACK
+    # one SYN opens the flow; every later packet is small and carries no SYN
+    packets = [_pkt(syn=True)] + [_pkt(nbytes=40, t=float(i)) for i in range(1, 50)]
+    seed = next(s for s in range(100_000)
+                if _starts(SamplerConfig(method, 0.001, seed=s), packets[0], 0))
+    config = SamplerConfig(method, 0.001, seed=seed)
+    # the later packets would not all start a hold on their own
+    assert not all(_starts(config, pkt, i) for i, pkt in enumerate(packets) if i)
+    assert sample_packets(packets, config) == packets
 
 
 def test_packet_method_never_tracks():
     config = SamplerConfig("packet", 0.9, seed=2)
-    outcomes = {decide(config, _pkt(), tracked, i)
-                for i in range(200) for tracked in (False, True)}
-    assert outcomes == {Decision.SAMPLE_ONLY, Decision.SKIP}
+    packets = [_pkt(t=float(i)) for i in range(200)]
+    kept = sample_packets(packets, config)
+    assert kept == [pkt for i, pkt in enumerate(packets) if _starts(config, pkt, i)]
+    # a kept packet does not hold its key: later packets are still dropped
+    assert len(kept) < len(packets) - packets.index(kept[0])
 
 
 def test_decisions_replayable_and_order_independent():
     config = SamplerConfig("sh_packet", 0.25, seed=77)
-    forward = [decide(config, _pkt(), False, i) for i in range(500)]
-    replay = [decide(config, _pkt(), False, i) for i in range(500)]
-    backward = [decide(config, _pkt(), False, i) for i in reversed(range(500))]
+    forward = [_starts(config, _pkt(), i) for i in range(500)]
+    replay = [_starts(config, _pkt(), i) for i in range(500)]
+    backward = [_starts(config, _pkt(), i) for i in reversed(range(500))]
     assert forward == replay
     assert forward == backward[::-1]
+    assert 0 < sum(forward) < 500
 
 
-def test_decide_rate_matches_p():
+def test_starts_rate_matches_p():
     config = SamplerConfig("packet", 0.3, seed=11)
     n = 20000
-    kept = sum(decide(config, _pkt(), False, i) is Decision.SAMPLE_ONLY for i in range(n))
+    kept = sum(_starts(config, _pkt(), i) for i in range(n))
     assert abs(kept / n - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
 
 
@@ -256,9 +265,9 @@ def test_expected_fraction_monotone_in_p():
     )
     from flowinv.sampling import _expected_fraction, _profile_stream
 
-    profile = _profile_stream(packets)
-    for method in ("packet", "sh_packet", "sh_byte", "sh_syn"):
-        fractions = [_expected_fraction(profile, method, p)
+    for method in ("sh_packet", "sh_byte", "sh_syn"):
+        profile = _profile_stream(packets, method)
+        fractions = [_expected_fraction(profile, p)
                      for p in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0)]
         assert all(b >= a for a, b in zip(fractions, fractions[1:]))
 
@@ -269,6 +278,19 @@ def test_calibrate_unattainable_target_errors():
     )
     with pytest.raises(ValueError, match="unattainable"):
         calibrate_rate(udp_only, "sh_syn", 0.5)
+
+
+def test_calibrate_rejects_unknown_method():
+    packets, _ = generate_trace(SyntheticTraceConfig(num_flows=20, max_flow_len=5, seed=2))
+    for pilot in (packets, {10: 5}):
+        for method in ("bogus", "always"):
+            with pytest.raises(ValueError, match="cannot calibrate"):
+                calibrate_rate(pilot, method, 0.1)
+    # rejected before the pilot is read: these would fail to profile
+    with pytest.raises(ValueError, match="cannot calibrate"):
+        calibrate_rate([None], "bogus", 0.1)
+    with pytest.raises(ValueError, match="cannot calibrate"):
+        calibrate_rate({1.5: 2}, "bogus", 0.1)
 
 
 def test_calibrate_histogram_only_for_packet_lengths():
