@@ -114,14 +114,14 @@ def bin_mass(values: np.ndarray, boundaries: Sequence[int]) -> np.ndarray:
     than the binned range is an error.
     """
     _check_boundaries(boundaries)
+    if np.ndim(values) != 1:
+        raise ValueError(f"per-length values must be 1-d, got shape {np.shape(values)}")
     if len(values) >= boundaries[-1]:
         raise ValueError(
             f"support {len(values)} >= final boundary {boundaries[-1]}; extend the bins"
         )
-    out = np.zeros(len(boundaries) - 1)
-    for k, (lo, hi) in enumerate(zip(boundaries, boundaries[1:])):
-        out[k] = values[lo - 1 : min(hi - 1, len(values))].sum()
-    return out
+    bins = zip(boundaries, boundaries[1:])
+    return np.array([values[lo - 1 : hi - 1].sum() for lo, hi in bins], dtype=float)
 
 
 def ccdf(data) -> list[tuple[int, float]]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 from .binning import _tail_sums
 from .distributions import FlowLengthDistribution, ObservedDistribution, _counts_to_probs
@@ -163,12 +162,14 @@ def forward_packet_sampling(
         raise ValueError(f"p must be in (0, 1], got {p}")
     probs = dist.probs
     m = len(probs)
-    observed = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        if probs[j - 1] == 0.0:
-            continue
-        observed[: j + 1] += probs[j - 1] * stats.binom.pmf(np.arange(j + 1), j, p)
-    kept = observed[1:]
+    q = 1.0 - p
+    # G(q + p*z), G(z) = sum_j probs[j-1] * z**j, by Horner's rule: nothing cancels
+    law = np.zeros(m + 1)
+    for k in range(1, m + 1):
+        law[0] += probs[m - k]
+        law[1 : k + 1] = q * law[1 : k + 1] + p * law[:k]
+        law[0] *= q
+    kept = law[1:]
     return ObservedDistribution(_apply_truncation(kept / kept.sum(), max_len), p)
 
 
@@ -205,15 +206,12 @@ def forward_sh_packet(
 class _PilotProfile:
     """Hold-start chances per flow position, extracted once from a pilot.
 
-    ``weights[i]`` counts the chances of one method (packets, bytes or SYNs)
-    up to and including position i; the position stands for
-    ``multiplicity[i]`` packets if given, and ``total_packets`` sums the
-    packets of all positions.
+    ``weights[i]`` counts one method's chances (packets, bytes or SYNs) up to
+    and including position i, which stands for ``multiplicity[i]`` packets.
     """
 
-    total_packets: float
     weights: np.ndarray
-    multiplicity: np.ndarray | None = None
+    multiplicity: np.ndarray
 
 
 def _profile_stream(packets: Sequence[PacketRecord], method: str) -> _PilotProfile:
@@ -224,44 +222,37 @@ def _profile_stream(packets: Sequence[PacketRecord], method: str) -> _PilotProfi
         w = seen.get(key, 0) + _start_weight(method, pkt)
         seen[key] = w
         weights[i] = w
-    return _PilotProfile(len(packets), weights)
+    return _PilotProfile(weights, np.ones(len(packets)))
 
 
 def _profile_histogram(counts: Mapping[int, int]) -> _PilotProfile:
     """Profile of a flow-length histogram: position k holds P(L >= k) packets."""
     probs = _counts_to_probs(counts, "pilot")
     at_least = probs + _tail_sums(probs)
-    ordinals = np.arange(1.0, len(probs) + 1)
-    return _PilotProfile(float(at_least.sum()), ordinals, at_least)
+    return _PilotProfile(np.arange(1.0, len(probs) + 1), at_least)
 
 
-def _expected_fraction(profile: _PilotProfile, p: float) -> float:
-    """Expected kept-packet fraction, exact given the pilot's flow structure.
+def _kept_fraction(profile: _PilotProfile, u: float) -> tuple[float, float]:
+    """Expected kept-packet fraction at u = -log(1 - p), and its slope in u.
 
-    Packet k of a flow is kept iff a hold started at or before k, which
-    happens with probability 1 - (1-p)**w(k) where w(k) counts the start
-    chances seen so far.
+    Packet k of a flow is kept iff a hold started at or before k: with
+    probability 1 - exp(-u * w(k)), w(k) counting the start chances so far.
     """
-    if profile.total_packets == 0:
-        raise ValueError("empty pilot stream")
-    p = min(p, 1.0 - 1e-16)  # keep log1p finite; indistinguishable from 1.0
-    kept = -np.expm1(profile.weights * math.log1p(-p))
-    if profile.multiplicity is not None:
-        kept *= profile.multiplicity
-    return float(kept.sum()) / profile.total_packets
+    weights, multiplicity = profile.weights, profile.multiplicity
+    fraction = (multiplicity * -np.expm1(-u * weights)).sum()
+    slope = (multiplicity * weights * np.exp(-u * weights)).sum()
+    return float(fraction / multiplicity.sum()), float(slope / multiplicity.sum())
 
 
-def calibrate_rate(
-    pilot, method: str, target_fraction: float, *, tolerance: float = 1e-12
-) -> float:
+def calibrate_rate(pilot, method: str, target_fraction: float) -> float:
     """Find p so the expected kept-packet fraction equals ``target_fraction``.
 
     ``pilot`` is either a packet stream or a flow-length histogram (the
     histogram form suffices for the ``packet`` and ``sh_packet`` methods;
-    byte- and SYN-based calibration need the stream).  The expected fraction
-    is monotone in p for every method, so the unique root is bracketed and
-    solved directly; raises ValueError when the target exceeds the fraction
-    attainable at p = 1.
+    byte- and SYN-based calibration need the stream).  The fraction rises
+    and is concave in u = -log(1 - p), so Newton's method from u = 0 climbs
+    to the root without overshooting it; raises ValueError when the target
+    exceeds the fraction attainable at p = 1.
 
     On heavy-tailed traffic the hold methods concentrate on long flows, so
     the calibrated start probability typically sits orders of magnitude
@@ -280,23 +271,26 @@ def calibrate_rate(
         profile = _profile_histogram(pilot)
     else:
         profile = _profile_stream(pilot, method)
-    fraction = lambda p: _expected_fraction(profile, p)
-
-    attainable = fraction(1.0)
-    if attainable < target_fraction:
+    weights, multiplicity = profile.weights, profile.multiplicity
+    if not weights.size:
+        raise ValueError("empty pilot stream")
+    # at p = 1 every position with a start chance is kept
+    attainable = float(multiplicity[weights > 0].sum() / multiplicity.sum())
+    if target_fraction == attainable:
+        return 1.0
+    if target_fraction > attainable:
         raise ValueError(
             f"target fraction {target_fraction} unattainable with {method}: "
             f"maximum expected fraction is {attainable:.6g}"
         )
-    return float(
-        optimize.brentq(
-            lambda p: fraction(p) - target_fraction,
-            1e-15,
-            1.0,
-            xtol=tolerance,
-            rtol=8.9e-16,
-        )
-    )
+    u, (fraction, slope) = 0.0, _kept_fraction(profile, 0.0)
+    while fraction < target_fraction and slope > 0.0:
+        step = u + (target_fraction - fraction) / slope
+        if step == u:
+            break
+        u = step
+        fraction, slope = _kept_fraction(profile, u)
+    return -math.expm1(-u)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,13 @@ def test_bin_mass_sums_within_bins():
         bin_mass(np.ones(8), [1, 2, 4, 8])
 
 
+def test_bin_mass_rejects_vectors_that_are_not_1d():
+    # a 2-d vector used to be summed across its rows
+    for values in (np.array([[0.5, 0.1], [0.5, 0.2]]), np.array(0.5), np.ones((1, 3))):
+        with pytest.raises(ValueError, match="1-d"):
+            bin_mass(values, [1, 2, 4])
+
+
 def test_ccdf_two_point_law():
     assert ccdf(FlowLengthDistribution([0.5, 0.5])) == [(1, 0.5), (2, 0.0)]
 

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import flowinv
 from flowinv.cli import main
 from flowinv.flowtable import read_flow_csv
 from flowinv.inversion import effective_packet_probability
@@ -165,6 +170,21 @@ def test_compare_rejects_infinite_raw_estimate_exits_two(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_compare_rejects_two_dimensional_raw_estimate_exits_two(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    truth_csv = tmp_path / "truth.csv"
+    estimate = tmp_path / "bad.json"
+    assert main(["generate", "--flows", "200", "--max-len", "50",
+                 "--seed", "1", "--out", str(trace)]) == 0
+    assert main(["flows", "--in", str(trace), "--out", str(truth_csv)]) == 0
+    estimate.write_text(json.dumps({"p": 0.5, "C": 1.0, "raw": [[0.5, 0.1], [0.5, 0.2]],
+                                    "clamped": [0.6, 0.4], "negative_indices": []}))
+    assert main(["compare", "--truth", str(truth_csv), "--estimate", str(estimate),
+                 "--out", str(tmp_path / "report.csv")]) == 2
+    assert "must be 1-d" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_non_utf8_trace_exits_two(tmp_path, capsys):
     bad = tmp_path / "capture.bin"
     bad.write_bytes(b"\x0a\x0d\x0d\x0a\x1c\x00\x00\x00\xff\xfe binary\n")
@@ -200,3 +220,45 @@ def test_pcap_input_is_autodetected(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# Runs in a fresh interpreter in which any import of scipy fails.
+NO_SCIPY_WALKTHROUGH = r"""
+import contextlib, io, json, re, sys
+sys.modules["scipy"] = None
+from flowinv import cli
+
+d = sys.argv[1]
+codes = {}
+def run(step, *argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        codes[step] = cli.main([step, *argv])
+    return err.getvalue()
+
+run("generate", "--flows", "3000", "--alpha", "1.5", "--max-len", "10000",
+    "--mean-interarrival", "0.01", "--seed", "7", "--out", f"{d}/trace.txt")
+run("flows", "--in", f"{d}/trace.txt", "--out", f"{d}/truth.csv")
+err = run("sample", "--in", f"{d}/trace.txt", "--method", "sh-byte",
+          "--target-fraction", "0.01", "--seed", "1", "--out", f"{d}/sample.csv")
+p = re.search(r"calibrated p = (\S+)", err).group(1)
+run("invert", "--in", f"{d}/sample.csv", "--method", "sh-byte", "--p", p,
+    "--out", f"{d}/result.json")
+run("compare", "--truth", f"{d}/truth.csv", "--estimate", f"{d}/result.json",
+    "--out", f"{d}/report.csv")
+print(json.dumps(codes))
+"""
+
+
+def test_walkthrough_runs_without_scipy(tmp_path):
+    src = str(Path(flowinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_WALKTHROUGH, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert codes == {"generate": 0, "flows": 0, "sample": 0, "invert": 0, "compare": 0}
+    assert (tmp_path / "report.csv").exists()

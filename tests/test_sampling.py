@@ -3,13 +3,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, stats
 
 from flowinv.distributions import FlowLengthDistribution
 from flowinv.sampling import (
     ALWAYS,
     SamplerConfig,
     TruncationWarning,
+    _kept_fraction,
+    _profile_histogram,
+    _profile_stream,
     _starts,
     calibrate_rate,
     forward_packet_sampling,
@@ -135,6 +138,42 @@ def test_forward_packet_sampling_point_mass_three():
     dist = FlowLengthDistribution([0.0, 0.0, 1.0])
     out = forward_packet_sampling(dist, 0.5)
     assert np.abs(out.probs - np.array([3 / 7, 3 / 7, 1 / 7])).max() < 1e-12
+
+
+def _packet_sampling_oracle(dist, p):
+    # the per-length binomial sum that forward_packet_sampling replaced
+    probs = dist.probs
+    m = len(probs)
+    observed = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        if probs[j - 1] == 0.0:
+            continue
+        observed[: j + 1] += probs[j - 1] * stats.binom.pmf(np.arange(j + 1), j, p)
+    kept = observed[1:]
+    return kept / kept.sum()
+
+
+def _assert_matches_oracle(dist, p):
+    got = forward_packet_sampling(dist, p).probs
+    want = _packet_sampling_oracle(dist, p)
+    assert np.abs(got - want).max() <= 1e-15
+    normal = want >= 1e-290  # below this both lose digits to subnormals
+    assert (np.abs(got - want)[normal] <= 1e-11 * want[normal]).all()
+
+
+def test_forward_packet_sampling_matches_binomial_oracle():
+    rng = np.random.default_rng(41)
+    rates = [1e-6, 1.0] + (10.0 ** rng.uniform(-6.0, 0.0, 40)).tolist()
+    for p in rates:
+        probs = rng.dirichlet(np.ones(rng.integers(1, 401)))
+        _assert_matches_oracle(FlowLengthDistribution(probs / probs.sum()), p)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.01, 1e-4])
+def test_forward_packet_sampling_matches_oracle_at_long_support(p):
+    # the power-law truth cut to 3,000 lengths, as in the estimator benchmark
+    weights = np.arange(1, 3001, dtype=float) ** -2.5
+    _assert_matches_oracle(FlowLengthDistribution(weights / weights.sum()), p)
 
 
 def test_forward_sh_packet_worked_example():
@@ -263,13 +302,93 @@ def test_expected_fraction_monotone_in_p():
         SyntheticTraceConfig(num_flows=2000, max_flow_len=40, tcp_fraction=0.8,
                              byte_len_model=(40, 1500), seed=29)
     )
-    from flowinv.sampling import _expected_fraction, _profile_stream
-
     for method in ("sh_packet", "sh_byte", "sh_syn"):
         profile = _profile_stream(packets, method)
-        fractions = [_expected_fraction(profile, p)
-                     for p in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0)]
+        rates = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0 - 1e-16)
+        points = [_kept_fraction(profile, -math.log1p(-p)) for p in rates]
+        fractions = [fraction for fraction, _ in points]
+        slopes = [slope for _, slope in points]
         assert all(b >= a for a, b in zip(fractions, fractions[1:]))
+        # concave in u: the slope never rises
+        assert all(0.0 <= b <= a for a, b in zip(slopes, slopes[1:]))
+
+
+# A mixed stream: heavy-tailed lengths up to 10,000 packets, half of the
+# flows TCP, 40-1500 byte packets.  sh_byte rates fall far below 1e-12 here.
+MIXED = SyntheticTraceConfig(num_flows=5000, alpha=1.5, max_flow_len=10_000,
+                             mean_interarrival=0.01, tcp_fraction=0.5,
+                             byte_len_model=(40, 1500), seed=7)
+
+
+@pytest.fixture(scope="module")
+def mixed_packets():
+    return generate_trace(MIXED)[0]
+
+
+def _fraction_at(profile, p):
+    if p == 1.0:  # u is infinite: every position with a start chance is kept
+        return float(profile.multiplicity[profile.weights > 0].sum()
+                     / profile.multiplicity.sum())
+    return _kept_fraction(profile, -math.log1p(-p))[0]
+
+
+def _calibrates_or_refuses(pilot, profile, method, target):
+    try:
+        p = calibrate_rate(pilot, method, target)
+    except ValueError as exc:
+        assert "unattainable" in str(exc)
+        assert _fraction_at(profile, 1.0) < target
+        return
+    assert 0.0 < p <= 1.0
+    assert _fraction_at(profile, p) == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+CALIBRATION_TARGETS = [1e-13, 0.5] + (
+    10.0 ** np.random.default_rng(59).uniform(-13.0, math.log10(0.5), 24)
+).tolist()
+
+
+@pytest.mark.parametrize("method", ["sh_packet", "sh_byte", "sh_syn"])
+def test_calibrate_stream_hits_every_target(mixed_packets, method):
+    profile = _profile_stream(mixed_packets, method)
+    for target in CALIBRATION_TARGETS:
+        _calibrates_or_refuses(mixed_packets, profile, method, target)
+
+
+def test_calibrate_histogram_hits_every_target(mixed_packets):
+    lengths = Counter(Counter(pkt.key for pkt in mixed_packets).values())
+    profile = _profile_histogram(lengths)
+    for target in CALIBRATION_TARGETS:
+        _calibrates_or_refuses(lengths, profile, "sh_packet", target)
+
+
+# Rates that a bracketing solver with an absolute tolerance on p got wrong:
+# 1e-4 relative off at 1e-8, 80% off at 1e-9, and no root found at 1e-13.
+@pytest.mark.parametrize("target", [1e-8, 1e-9, 1e-13],
+                         ids=["1e-8-was-off", "1e-9-was-80pct-off", "1e-13-had-no-root"])
+def test_calibrate_sh_byte_tiny_targets(mixed_packets, target):
+    profile = _profile_stream(mixed_packets, "sh_byte")
+    p = calibrate_rate(mixed_packets, "sh_byte", target)
+    assert p < 1e-11
+    assert _fraction_at(profile, p) == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+def test_calibrate_at_the_attainable_fraction(mixed_packets):
+    weights = _profile_stream(mixed_packets, "sh_syn").weights
+    attainable = int((weights > 0).sum()) / len(weights)
+    assert 0.0 < attainable < 1.0
+    assert calibrate_rate(mixed_packets, "sh_syn", attainable) == 1.0
+    with pytest.raises(ValueError, match="unattainable"):
+        calibrate_rate(mixed_packets, "sh_syn", float(np.nextafter(attainable, 1.0)))
+    below = float(np.nextafter(attainable, 0.0))
+    p = calibrate_rate(mixed_packets, "sh_syn", below)
+    assert _fraction_at(_profile_stream(mixed_packets, "sh_syn"), p) >= below * (1 - 1e-12)
+
+
+def test_calibrate_empty_pilot_stream_errors():
+    for method in ("sh_packet", "sh_byte", "sh_syn"):
+        with pytest.raises(ValueError, match="empty pilot stream"):
+            calibrate_rate([], method, 0.1)
 
 
 def test_calibrate_unattainable_target_errors():
@@ -358,8 +477,6 @@ def test_resample_distribution_matches_direct_packet_sampling():
     # differs from plain packet sampling only through the start position;
     # with start at packet g, kept ~ 1 + Binomial(L - g, p).  Build the exact
     # law by enumeration as an independent oracle.
-    from scipy import stats
-
     law = np.zeros(13)
     for length, prob in enumerate(truth.probs, start=1):
         if prob == 0:
