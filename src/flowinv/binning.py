@@ -21,8 +21,9 @@ from .distributions import _histogram_arrays, _probs_of
 
 
 def ratio_for_bins_per_decade(bins_per_decade: float) -> float:
-    if bins_per_decade <= 0:
-        raise ValueError("bins_per_decade must be positive")
+    # 10.0 ** 308 is the largest power of ten a float holds
+    if not (0.0 < bins_per_decade < math.inf and 1.0 / bins_per_decade <= 308):
+        raise ValueError(f"bins_per_decade must be finite and >= 1/308, got {bins_per_decade}")
     return 10.0 ** (1.0 / bins_per_decade)
 
 
@@ -38,8 +39,8 @@ def make_bins(max_len: int, ratio_target: float = DEFAULT_RATIO) -> list[int]:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if ratio_target <= 1.0:
-        raise ValueError(f"ratio_target must exceed 1, got {ratio_target}")
+    if not 1.0 < ratio_target < math.inf:
+        raise ValueError(f"ratio_target must be finite and exceed 1, got {ratio_target}")
     bounds = [1]
     while bounds[-1] <= max_len:
         bounds.append(max(bounds[-1] + 1, math.floor(bounds[-1] * ratio_target + 0.5)))

@@ -171,9 +171,6 @@ def _cmd_invert(args) -> int:
         p = args.p if args.p is not None else 1.0
         observed = ObservedDistribution(estimate.probs, p)
         result = inversion.InversionResult(estimate.probs, estimate, 1.0, [], p)
-        boundaries = binning.make_bins(observed.max_len, ratio)
-        binned = binning.bin_mass(estimate.probs, boundaries)
-        pooled = inversion.PooledInversion(tuple(boundaries), binned, binned, p)
         meta["tcp_only"] = True
         summary = f"wrote SYN-based estimate over {estimate.max_len} lengths to {args.out}"
     else:
@@ -193,12 +190,11 @@ def _cmd_invert(args) -> int:
         else:
             observed = ObservedDistribution.from_lengths(lengths, args.p)
             result = inversion.invert_sh_packet(observed, args.p)
-
-        boundaries = binning.make_bins(observed.max_len, ratio)
-        pooled = inversion.invert_sh_packet_pooled(observed, result.p, boundaries)
         flagged = f", {len(result.negative_indices)} negative estimates" if result.negative_indices else ""
         summary = f"wrote inversion over {observed.max_len} lengths to {args.out}{flagged}"
 
+    boundaries = binning.make_bins(observed.max_len, ratio)
+    pooled = inversion.pool_raw_estimates(result.raw_estimates, boundaries, result.p)
     payload = inversion.inversion_to_json_dict(result, observed, pooled, extra=meta)
     inversion.write_inversion_json(args.out, payload)
     print(summary)

@@ -33,6 +33,12 @@ def _as_prob_vector(probs, what: str) -> np.ndarray:
     return arr
 
 
+def _check_rate(value: float, name: str) -> None:
+    """Reject a sampling rate outside (0, 1], naming the argument."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+
+
 def _histogram_arrays(counts: Mapping[int, int], what: str = "flow length"):
     """A length -> count histogram as (integer lengths >= 1, counts >= 0)."""
     lengths = np.array(list(counts), dtype=float)
@@ -60,12 +66,8 @@ def _counts_to_probs(counts: Mapping[int, int], what: str = "flow length") -> np
     total = vec.sum()
     if total <= 0.0:
         raise ValueError(f"{what} histogram has no mass")
-    return vec / total
-
-
-def _pinned_probs(counts: Mapping[int, int]) -> np.ndarray:
-    vec = _counts_to_probs(counts)
-    vec /= vec.sum()  # second pass pins the float sum to 1
+    vec /= total
+    vec /= vec.sum()  # a second pass pins the float sum to 1
     return vec
 
 
@@ -95,7 +97,7 @@ class FlowLengthDistribution:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "FlowLengthDistribution":
-        return cls(_pinned_probs(counts))
+        return cls(_counts_to_probs(counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +116,7 @@ class ObservedDistribution:
         object.__setattr__(
             self, "probs", _as_prob_vector(self.probs, "observed distribution")
         )
-        if not 0.0 < self.p_used <= 1.0:
-            raise ValueError(f"p_used must be in (0, 1], got {self.p_used}")
+        _check_rate(self.p_used, "p_used")
 
     @property
     def max_len(self) -> int:
@@ -123,7 +124,7 @@ class ObservedDistribution:
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int], p_used: float) -> "ObservedDistribution":
-        return cls(_pinned_probs(Counter(lengths)), p_used)
+        return cls(_counts_to_probs(Counter(lengths)), p_used)
 
 
 def _probs_of(data, what: str) -> np.ndarray:

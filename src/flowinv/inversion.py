@@ -18,7 +18,6 @@ clamping reduces (but need not eliminate) the negativity.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -26,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .binning import bin_mass
-from .distributions import FlowLengthDistribution, ObservedDistribution
+from .distributions import FlowLengthDistribution, ObservedDistribution, _check_rate
 from .flowtable import FlowSet
+from .sampling import _start_chance
 from .trace import TCP
 
 
@@ -56,19 +56,17 @@ def invert_sh_packet(observed: ObservedDistribution, p: float) -> InversionResul
     raw estimates always sum to 1 (an algebraic identity); negativity shows
     up whenever X[i+1] > X[i] by enough, which the result reports.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_rate(p, "p")
     x = observed.probs
     if x.size == 0:
         raise ValueError("cannot invert an empty observed distribution")
     q = 1.0 - p
     normalizer = 1.0 - q + q * float(x[0])
-    if normalizer <= 0.0:
-        raise ValueError(
-            f"normalizer {normalizer} is not positive; observed input is corrupt"
-        )
     shifted = np.concatenate((x[1:], [0.0]))
-    raw = (x - q * shifted) / normalizer
+    with np.errstate(all="ignore"):  # a zero or subnormal normalizer: inf or nan
+        raw = (x - q * shifted) / normalizer
+    if not np.isfinite(raw).all():
+        raise ValueError(f"raw estimates carry non-finite mass (normalizer {normalizer})")
     negative = [int(i) + 1 for i in np.flatnonzero(raw < 0.0)]
     return InversionResult(
         raw_estimates=raw,
@@ -124,11 +122,10 @@ def invert_sh_packet_pooled(
 
 def effective_packet_probability(p_per_byte: float, mean_packet_len: float) -> float:
     """Start probability for a packet of the mean byte length."""
-    if not 0.0 < p_per_byte <= 1.0:
-        raise ValueError(f"p_per_byte must be in (0, 1], got {p_per_byte}")
+    _check_rate(p_per_byte, "p_per_byte")
     if mean_packet_len < 1:
         raise ValueError(f"mean_packet_len must be >= 1, got {mean_packet_len}")
-    return -math.expm1(mean_packet_len * math.log1p(-min(p_per_byte, 1.0 - 1e-16)))
+    return _start_chance(p_per_byte, mean_packet_len)
 
 
 def invert_sh_byte(
@@ -215,6 +212,8 @@ def write_inversion_json(path, payload: dict) -> None:
 def read_inversion_json(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: inversion JSON must be an object")
     for key in ("p", "C", "raw", "clamped", "negative_indices"):
         if key not in payload:
             raise ValueError(f"{path}: missing key {key!r} in inversion JSON")

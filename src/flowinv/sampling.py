@@ -26,7 +26,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .binning import _tail_sums
-from .distributions import FlowLengthDistribution, ObservedDistribution, _counts_to_probs
+from .distributions import FlowLengthDistribution, ObservedDistribution
+from .distributions import _check_rate, _counts_to_probs
 from .trace import PacketRecord
 
 METHODS = ("packet", "sh_packet", "sh_byte", "sh_syn", "always")
@@ -48,8 +49,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
+        _check_rate(self.p, "p")
 
 
 ALWAYS = SamplerConfig("always")
@@ -74,6 +74,15 @@ def _start_weight(method: str, packet: PacketRecord) -> int:
     return 1
 
 
+def _start_chance(p: float, w: float) -> float:
+    """1 - (1-p)**w: the chance that any of w start chances, each p, is taken."""
+    if w == 0:
+        return 0.0
+    if w == 1 or p == 1.0:
+        return p  # log1p(-1) is undefined at p = 1
+    return -math.expm1(w * math.log1p(-p))
+
+
 def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
     """Probability that this packet starts a hold on an untracked flow.
 
@@ -82,12 +91,7 @@ def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
     """
     if config.method == "always":
         return 1.0
-    weight = _start_weight(config.method, packet)
-    if weight == 0:
-        return 0.0
-    if weight == 1 or config.p == 1.0:
-        return config.p  # log1p(-1) is undefined at p = 1
-    return -math.expm1(weight * math.log1p(-config.p))
+    return _start_chance(config.p, _start_weight(config.method, packet))
 
 
 def _starts(config: SamplerConfig, packet: PacketRecord, packet_index: int) -> bool:
@@ -135,18 +139,20 @@ def sample_packets(
 # Exact forward operators (oracles for the samplers)
 
 
-def _apply_truncation(probs: np.ndarray, max_len: int | None) -> np.ndarray:
-    if max_len is None or max_len >= len(probs):
-        return probs
-    lost = float(probs[max_len:].sum())
-    if lost >= 1e-12:
-        warnings.warn(
-            f"truncation to {max_len} discards {lost:.3e} probability mass",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    head = probs[:max_len]
-    return head / head.sum()
+def _observed(kept: np.ndarray, p: float, max_len: int | None) -> ObservedDistribution:
+    """The law of per-length kept mass: conditioned on at least one kept
+    packet, truncated to ``max_len`` and tagged with its rate ``p``."""
+    probs = kept / kept.sum()
+    if max_len is not None and max_len < len(probs):
+        lost = float(probs[max_len:].sum())
+        if lost >= 1e-12:
+            warnings.warn(
+                f"truncation to {max_len} discards {lost:.3e} probability mass",
+                TruncationWarning,
+                stacklevel=3,
+            )
+        probs = probs[:max_len] / probs[:max_len].sum()
+    return ObservedDistribution(probs, p)
 
 
 def forward_packet_sampling(
@@ -158,8 +164,7 @@ def forward_packet_sampling(
     probability; flows with zero sampled packets are unobservable, so the
     result is conditioned on at least one packet being kept.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_rate(p, "p")
     probs = dist.probs
     m = len(probs)
     q = 1.0 - p
@@ -169,8 +174,7 @@ def forward_packet_sampling(
         law[0] += probs[m - k]
         law[1 : k + 1] = q * law[1 : k + 1] + p * law[:k]
         law[0] *= q
-    kept = law[1:]
-    return ObservedDistribution(_apply_truncation(kept / kept.sum(), max_len), p)
+    return _observed(law[1:], p, max_len)
 
 
 def forward_sh_packet(
@@ -183,8 +187,7 @@ def forward_sh_packet(
     p * (1-p)**(j-i), and missed entirely with probability (1-p)**j.  The
     result is conditioned on the flow being observed.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_rate(p, "p")
     probs = dist.probs
     m = len(probs)
     q = 1.0 - p
@@ -194,8 +197,7 @@ def forward_sh_packet(
     for i in range(m, 0, -1):
         acc = probs[i - 1] + q * acc
         tail[i] = acc
-    kept = p * tail[1:]
-    return ObservedDistribution(_apply_truncation(kept / kept.sum(), max_len), p)
+    return _observed(p * tail[1:], p, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +309,7 @@ def resample_as_packet_sample(
     probability p, which reproduces the law of independent packet sampling
     at the same rate over the held flows.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_rate(p, "p")
     seen: set = set()
     out: list[PacketRecord] = []
     for index, pkt in enumerate(packets):

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 import struct
 from dataclasses import dataclass
+from socket import inet_ntoa
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,6 +37,16 @@ _SYN_ONLY = frozenset("S")
 # pcap magic number -> unit of the timestamp fraction field
 _PCAP_FRACTION_UNITS = {0xA1B2C3D4: 1e-6, 0xA1B23C4D: 1e-9}
 _ETHERTYPE_IPV4 = 0x0800
+# Ethernet II header, then the fixed 20 bytes of IPv4: ethertype, version and
+# IHL, total length, flags and fragment offset, protocol, source, destination
+_ETHERNET_IPV4 = struct.Struct("!12xHBxHxxHxBxx4s4s")
+_PORTS = struct.Struct("!HH")
+# transport bytes the decoder reads: TCP up to its flags, UDP ports, none of ICMP
+_TRANSPORT_BYTES = {TCP: 14, UDP: 4, ICMP: 0}
+# flag set of each combination of the FIN (0x01), SYN (0x02) and RST (0x04) bits
+_TCP_FLAGS = (_NO_FLAGS,) + tuple(
+    frozenset(c for bit, c in enumerate("FSR") if i >> bit & 1) for i in range(1, 8)
+)
 _FOREVER = float("inf")
 
 
@@ -200,44 +212,20 @@ def _pcap_layout(head: bytes):
 
 def _decode_ethernet_ipv4(data: bytes):
     """Decode Ethernet + IPv4 + TCP/UDP/ICMP; return fields or None to skip."""
-    if len(data) < 34:  # 14 ethernet + 20 minimal IP
+    if len(data) < _ETHERNET_IPV4.size:
         return None
-    if struct.unpack_from("!H", data, 12)[0] != _ETHERTYPE_IPV4:
+    ethertype, ver_ihl, total_len, frag, proto, src, dst = _ETHERNET_IPV4.unpack_from(data)
+    l4 = 14 + (ver_ihl & 0x0F) * 4  # l4 < 34: an IHL below 5 words
+    if ethertype != _ETHERTYPE_IPV4 or ver_ihl >> 4 != 4 or l4 < 34 or len(data) < l4:
         return None
-    ip_off = 14
-    ver_ihl = data[ip_off]
-    if ver_ihl >> 4 != 4:
+    if frag & 0x1FFF or not total_len:  # a non-first fragment has no transport header
         return None
-    ihl = (ver_ihl & 0x0F) * 4
-    if ihl < 20 or len(data) < ip_off + ihl:
+    need = _TRANSPORT_BYTES.get(proto)
+    if need is None or len(data) < l4 + need:
         return None
-    total_len, = struct.unpack_from("!H", data, ip_off + 2)
-    frag, = struct.unpack_from("!H", data, ip_off + 6)
-    if frag & 0x1FFF:  # non-first fragment: no transport header to read
-        return None
-    proto = data[ip_off + 9]
-    src = ".".join(str(b) for b in data[ip_off + 12 : ip_off + 16])
-    dst = ".".join(str(b) for b in data[ip_off + 16 : ip_off + 20])
-    l4 = ip_off + ihl
-    flags = _NO_FLAGS
-    if proto == TCP:
-        if len(data) < l4 + 14:
-            return None
-        sport, dport = struct.unpack_from("!HH", data, l4)
-        bits = data[l4 + 13]
-        got = [c for c, mask in (("F", 0x01), ("S", 0x02), ("R", 0x04)) if bits & mask]
-        flags = frozenset(got) if got else _NO_FLAGS
-    elif proto == UDP:
-        if len(data) < l4 + 4:
-            return None
-        sport, dport = struct.unpack_from("!HH", data, l4)
-    elif proto == ICMP:
-        sport = dport = 0
-    else:
-        return None
-    if not 1 <= total_len <= 65535:
-        return None
-    return FiveTuple(proto, src, sport, dst, dport), total_len, flags
+    sport, dport = _PORTS.unpack_from(data, l4) if need else (0, 0)
+    flags = _TCP_FLAGS[data[l4 + 13] & 0x07] if proto == TCP else _NO_FLAGS
+    return FiveTuple(proto, inet_ntoa(src), sport, inet_ntoa(dst), dport), total_len, flags
 
 
 def _read_pcap(path) -> Trace:
@@ -255,6 +243,7 @@ def _read_pcap(path) -> Trace:
             raise TraceFormatError(f"{path}: unsupported link type {network}")
         packets = []
         skipped = 0
+        size = os.fstat(fh.fileno()).st_size
         while True:
             pkthdr = fh.read(16)
             if not pkthdr:
@@ -262,9 +251,9 @@ def _read_pcap(path) -> Trace:
             if len(pkthdr) < 16:
                 raise TraceFormatError(f"{path}: truncated packet header at EOF")
             ts_sec, ts_frac, caplen, _orig = struct.unpack(endian + "IIII", pkthdr)
-            data = fh.read(caplen)
-            if len(data) < caplen:
+            if caplen > size - fh.tell():  # checked before reading: caplen is untrusted
                 raise TraceFormatError(f"{path}: truncated packet body at EOF")
+            data = fh.read(caplen)
             decoded = _decode_ethernet_ipv4(data)
             if decoded is None:
                 skipped += 1

@@ -45,6 +45,18 @@ def test_make_bins_rejects_bad_ratio():
         make_bins(10, 0.5)
     with pytest.raises(ValueError):
         make_bins(0, 2.0)
+    for ratio in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            make_bins(10, ratio)
+
+
+def test_bins_per_decade_must_give_a_finite_ratio():
+    # 0.001 overflowed in 10.0 ** 1000, 1e-320 gave an infinite ratio
+    for bad in (0.001, 1e-320, 1 / 308.1, 0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="bins_per_decade must be finite"):
+            ratio_for_bins_per_decade(bad)
+    assert ratio_for_bins_per_decade(1 / 300) == 10.0**300
+    assert ratio_for_bins_per_decade(10) == 10.0**0.1
 
 
 def test_bin_histogram_worked_example():

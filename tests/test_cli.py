@@ -1,13 +1,17 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flowinv
 from flowinv.cli import main
 from flowinv.flowtable import read_flow_csv
-from flowinv.inversion import effective_packet_probability
+from flowinv.distributions import ObservedDistribution
+from flowinv.inversion import effective_packet_probability, invert_sh_packet_pooled
 from flowinv.report import load_report
 
 
@@ -32,6 +36,11 @@ def test_full_pipeline(tmp_path, capsys):
     assert len(truth.records) == 2000
     payload = json.loads(result_json.read_text())
     assert set(payload) >= {"p", "C", "raw", "clamped", "negative_indices"}
+    observed = ObservedDistribution.from_lengths(
+        [rec.packet_count for rec in read_flow_csv(sample_csv).records], 0.05)
+    pooled = invert_sh_packet_pooled(observed, 0.05, payload["binned"]["boundaries"])
+    assert payload["binned"]["raw"] == pooled.raw.tolist()
+    assert payload["binned"]["clamped"] == pooled.clamped.tolist()
     report = load_report(report_csv)
     assert 0.0 <= report.total_variation <= 1.0
     assert report.metadata["method"] == "sh-packet"
@@ -183,6 +192,51 @@ def test_compare_rejects_two_dimensional_raw_estimate_exits_two(tmp_path, capsys
                  "--out", str(tmp_path / "report.csv")]) == 2
     assert "must be 1-d" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A small trace's truth, sh-packet sample and inversion, made once."""
+    d = tmp_path_factory.mktemp("pipeline")
+    assert main(["generate", "--flows", "300", "--max-len", "40", "--seed", "2",
+                 "--out", str(d / "t.txt")]) == 0
+    assert main(["flows", "--in", str(d / "t.txt"), "--out", str(d / "truth.csv")]) == 0
+    assert main(["sample", "--in", str(d / "t.txt"), "--method", "sh-packet", "--p", "0.3",
+                 "--out", str(d / "sample.csv")]) == 0
+    assert main(["invert", "--in", str(d / "sample.csv"), "--method", "sh-packet",
+                 "--p", "0.3", "--out", str(d / "result.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("bins_per_decade", ["0.001", "1e-320", "nan"])
+def test_bad_bins_per_decade_exits_two(pipeline, tmp_path, capsys, bins_per_decade):
+    assert main(["invert", "--in", str(pipeline / "sample.csv"), "--method", "sh-packet",
+                 "--p", "0.3", "--bins-per-decade", bins_per_decade,
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert main(["compare", "--truth", str(pipeline / "truth.csv"),
+                 "--estimate", str(pipeline / "result.json"),
+                 "--bins-per-decade", bins_per_decade, "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.count("bins_per_decade must be finite") == 2
+
+
+@pytest.mark.parametrize("text", ["null", "3", '"p C raw clamped negative_indices"'])
+def test_compare_rejects_non_object_inversion_json_exits_two(pipeline, tmp_path, capsys,
+                                                             text):
+    estimate = tmp_path / "bad.json"
+    estimate.write_text(text)
+    assert main(["compare", "--truth", str(pipeline / "truth.csv"), "--estimate",
+                 str(estimate), "--out", str(tmp_path / "c.csv")]) == 2
+    assert "inversion JSON must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["flows"], ["sample", "--method", "packet", "--p", "0.5"]])
+def test_pcap_caplen_past_end_of_file_exits_two(tmp_path, capsys, command):
+    # a one-record pcap whose record header claims a 4 GB body
+    pcap = tmp_path / "long.pcap"
+    pcap.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+                     + struct.pack("<IIII", 100, 0, 0xFFFFFFF0, 60) + bytes(60))
+    assert main([*command, "--in", str(pcap), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "truncated packet body at EOF" in capsys.readouterr().err
 
 
 def test_non_utf8_trace_exits_two(tmp_path, capsys):

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from flowinv.distributions import FlowLengthDistribution, ObservedDistribution
+from flowinv.inversion import effective_packet_probability, invert_sh_packet
+from flowinv.sampling import (
+    SamplerConfig,
+    forward_packet_sampling,
+    forward_sh_packet,
+    resample_as_packet_sample,
+)
 
 
 def test_valid_vector_is_stored():
@@ -86,3 +93,26 @@ def test_probs_are_copied_from_caller():
     dist = FlowLengthDistribution(source)
     source[0] = 99.0
     assert dist.probs[0] == 0.5
+
+
+_TRUTH = FlowLengthDistribution([0.5, 0.5])
+_OBSERVED = ObservedDistribution([0.5, 0.5], 0.5)
+RATE_SITES = {
+    "SamplerConfig": ("p", lambda v: SamplerConfig("packet", v)),
+    "ObservedDistribution": ("p_used", lambda v: ObservedDistribution([1.0], v)),
+    "forward_packet_sampling": ("p", lambda v: forward_packet_sampling(_TRUTH, v)),
+    "forward_sh_packet": ("p", lambda v: forward_sh_packet(_TRUTH, v)),
+    "resample_as_packet_sample": ("p", lambda v: resample_as_packet_sample([], v)),
+    "invert_sh_packet": ("p", lambda v: invert_sh_packet(_OBSERVED, v)),
+    "effective_packet_probability": (
+        "p_per_byte", lambda v: effective_packet_probability(v, 100.0)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RATE_SITES))
+def test_every_rate_check_names_its_argument(site):
+    name, call = RATE_SITES[site]
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \(0, 1\], got {bad}$"):
+            call(bad)
+    call(1.0)

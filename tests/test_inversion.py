@@ -17,8 +17,8 @@ from flowinv.inversion import (
     write_inversion_json,
 )
 from flowinv.report import compare
-from flowinv.sampling import SamplerConfig, forward_sh_packet
-from flowinv.trace import SyntheticTraceConfig, generate_trace
+from flowinv.sampling import SamplerConfig, forward_sh_packet, start_probability
+from flowinv.trace import FiveTuple, PacketRecord, SyntheticTraceConfig, generate_trace
 
 
 def test_invert_worked_example():
@@ -57,10 +57,11 @@ def test_non_finite_estimates_rejected():
     for raw in ([np.inf, 0.5], [np.inf, -np.inf], [0.5, np.inf, -1.0]):
         with pytest.raises(ValueError, match="non-finite mass"):
             pool_raw_estimates(np.array(raw), [1, 2, 4], 0.1)
-    # the normalizer is the smallest subnormal, so raw = [-inf, inf]
-    observed = ObservedDistribution([5e-324, 1.0], 1e-17)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite mass"):
-        invert_sh_packet(observed, 1e-17)
+    # at p = 1e-17, q rounds to 1 and the normalizer is X[1]: the smallest
+    # subnormal gives raw = [-inf, inf], zero gives raw = [-inf, nan, inf]
+    for x in ([5e-324, 1.0], [0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="non-finite mass"):
+            invert_sh_packet(ObservedDistribution(x, 1e-17), 1e-17)
 
 
 def test_round_trip_recovers_distribution():
@@ -129,6 +130,14 @@ def test_sh_byte_effective_probability():
     p_eff = effective_packet_probability(0.001, 1500)
     assert p_eff == pytest.approx(1.0 - 0.999**1500, abs=1e-12)
     assert p_eff == pytest.approx(0.7770372, abs=1e-6)
+
+
+def test_sh_byte_effective_probability_is_the_start_probability():
+    key = FiveTuple(6, "10.0.0.1", 1, "10.0.0.2", 2)
+    for p in (1e-300, 1e-17, 1e-9, 1e-4, 0.001, 0.3, 0.999999, 1.0):
+        for nbytes in (1, 2, 3, 40, 1500, 65535):
+            start = start_probability(SamplerConfig("sh_byte", p), PacketRecord(0.0, key, nbytes))
+            assert effective_packet_probability(p, nbytes) == start
 
 
 def test_sh_byte_consistent_with_packet_forward_model():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowinv.binning import make_bins
+from flowinv.binning import ccdf, make_bins
 from flowinv.distributions import FlowLengthDistribution, ObservedDistribution
 from flowinv.inversion import invert_sh_packet_pooled, pool_raw_estimates
 from flowinv.report import compare, emit_plot_data, load_report
@@ -15,6 +15,21 @@ def test_identical_inputs_give_zero_metrics():
     report = compare(dist, dist, [1, 2, 4])
     assert report.total_variation == 0.0
     assert report.ccdf_max_gap == 0.0
+
+
+def test_histogram_and_its_distribution_are_one_law():
+    rng = np.random.default_rng(12)
+    histograms = [{1: 1, 2: 4, 3: 1}] + [
+        dict(Counter(rng.integers(1, 200, int(rng.integers(1, 500))).tolist()))
+        for _ in range(20)
+    ]
+    for counts in histograms:
+        dist = FlowLengthDistribution.from_counts(counts)
+        bins = make_bins(dist.max_len, 1.3)  # [1, 2, 3, 4] for the first
+        report = compare(counts, dist, bins)
+        assert report.total_variation == 0.0
+        assert report.ccdf_max_gap == 0.0
+        assert ccdf(counts) == ccdf(dist)
 
 
 def test_disjoint_point_masses_in_separate_bins():

@@ -1,13 +1,18 @@
 import gc
+import os
 import re
 import struct
+import subprocess
+import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flowinv
 from flowinv.flowtable import UNBOUNDED, build_flows, read_flow_csv, write_flow_csv
 from flowinv.sampling import ALWAYS
 from flowinv.trace import (
@@ -186,6 +191,34 @@ def test_pcap_structural_corruption_is_fatal(tmp_path):
     path.write_bytes(b"\x00\x01\x02\x03" + b"not a pcap padding.." * 2)
     with pytest.raises(TraceFormatError, match="magic"):
         read_trace(path, format="pcap")
+
+
+# Reads the pcap named in argv[1] under a 1.5 GB address-space limit.
+_READ_UNDER_AS_LIMIT = r"""
+import resource, sys
+from flowinv.trace import TraceFormatError, read_trace
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 1_500_000_000 if hard == resource.RLIM_INFINITY else min(hard, 1_500_000_000)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+try:
+    read_trace(sys.argv[1])
+except TraceFormatError as exc:
+    print(exc)
+"""
+
+
+def test_pcap_caplen_past_end_of_file_is_fatal_before_reading(tmp_path):
+    good = _pcap_bytes([_eth_ipv4(6, "10.0.0.1", "10.0.0.2", 80, 1, 1500, flags=0x02)])
+    path = tmp_path / "t.pcap"
+    # the record header claims 4 GB of body that the file does not hold
+    path.write_bytes(good[:32] + struct.pack("<I", 0xFFFFFFF0) + good[36:])
+    src = str(Path(flowinv.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _READ_UNDER_AS_LIMIT, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "truncated packet body at EOF" in done.stdout
 
 
 @pytest.mark.parametrize("endian", ["<", ">"])
