@@ -9,7 +9,6 @@ the bin extent is shifted to [i_{k-1} - 0.5, i_k - 0.5].
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,10 +20,17 @@ from .distributions import _histogram_arrays, _probs_of
 
 
 def ratio_for_bins_per_decade(bins_per_decade: float) -> float:
-    # 10.0 ** 308 is the largest power of ten a float holds
-    if not (0.0 < bins_per_decade < math.inf and 1.0 / bins_per_decade <= 308):
-        raise ValueError(f"bins_per_decade must be finite and >= 1/308, got {bins_per_decade}")
-    return 10.0 ** (1.0 / bins_per_decade)
+    # 10.0 ** 308 is the largest power of ten a float holds; above about
+    # 1e16 bins per decade, 10.0 ** (1 / b) rounds to 1 and no bin grows
+    ratio = 1.0
+    if 0.0 < bins_per_decade < math.inf and 1.0 / bins_per_decade <= 308:
+        ratio = 10.0 ** (1.0 / bins_per_decade)
+    if not ratio > 1.0:
+        raise ValueError(
+            "bins_per_decade must be finite, >= 1/308 and small enough that "
+            f"10**(1/bins_per_decade) exceeds 1, got {bins_per_decade}"
+        )
+    return ratio
 
 
 #: Default boundary ratio: ten bins per decade.
@@ -143,18 +149,3 @@ def _tail_sums(mass: np.ndarray) -> np.ndarray:
     at the end does not change the others.
     """
     return np.concatenate((np.cumsum(mass[::-1])[::-1][1:], [0.0]))
-
-
-BINNED_CSV_HEADER = ["bin_lo", "bin_hi", "avg_count", "plot_lo", "plot_hi"]
-
-
-def write_binned_csv(binning: LogBinning, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BINNED_CSV_HEADER)
-        for (lo, hi), avg, (plo, phi) in zip(
-            zip(binning.boundaries, binning.boundaries[1:]),
-            binning.averages,
-            binning.plot_extents(),
-        ):
-            writer.writerow([lo, hi, repr(float(avg)), repr(plo), repr(phi)])

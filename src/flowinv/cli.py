@@ -12,8 +12,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import binning, flowtable, inversion, report, sampling, trace
 from .distributions import ObservedDistribution
 
@@ -207,8 +205,8 @@ def _cmd_compare(args) -> int:
     if not truth_counts:
         raise ValueError(f"{args.truth}: no flow records")
     payload = inversion.read_inversion_json(args.estimate)
-    raw = np.asarray(payload["raw"], dtype=float)
-    if raw.size == 0:
+    raw = payload["raw"]
+    if not raw:
         raise ValueError(f"{args.estimate}: empty estimate")
     ratio = binning.ratio_for_bins_per_decade(args.bins_per_decade)
     max_len = max(max(truth_counts), len(raw))

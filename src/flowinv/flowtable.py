@@ -19,8 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .sampling import SamplerConfig, _holds, _starts
-from .trace import FiveTuple, PacketRecord, _gc_paused
+import numpy as np
+
+from .sampling import SamplerConfig, _grouped, _holds, _start_mask
+from .trace import _SYN, FiveTuple, PacketColumns, PacketRecord, _as_columns, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,42 @@ class FlowSet:
     packets_admitted: int = 0
 
 
-def _flow_id(key: FiveTuple, window: int, seq: int) -> str:
-    return (
-        f"{key.protocol}-{key.src_addr}:{key.src_port}-"
-        f"{key.dst_addr}:{key.dst_port}-{window}.{seq}"
-    )
+def _timer_fires(ts: np.ndarray, lo: int, window_start: float, export_timeout: float) -> int:
+    """The first packet from ``lo`` on with ``t - window_start > export_timeout``,
+    or ``len(ts)``: a sorted search, then steps to where that exact test flips."""
+    if export_timeout == math.inf:
+        return len(ts)
+    j = max(lo, int(np.searchsorted(ts, window_start + export_timeout, side="right")))
+    while j > lo and ts[j - 1] - window_start > export_timeout:
+        j -= 1
+    while j < len(ts) and not ts[j] - window_start > export_timeout:
+        j += 1
+    return j
+
+
+def _opening_rule(packets: PacketColumns, starts: np.ndarray, holds: bool, flow_timeout: float):
+    """The stable sort by key, and per packet ``(a, b, gap)``: in a window
+    opened at stream index ``lo`` (an export clears all hold state) the
+    packet is admitted iff ``a >= lo``, and opens a record iff also
+    ``b < lo`` or ``gap``.
+
+    Under a hold, ``a`` is the key's latest start and ``b`` that of the
+    key's previous packet; under ``packet``, ``a`` is the packet itself if
+    it starts and ``b`` the key's latest start before it.  ``gap``: more
+    than ``flow_timeout`` since the previous admitted packet.
+    """
+    order, count = _grouped(packets.key_id, starts)
+    starting = starts[order]
+    start_at = np.append(order[starting], -1)
+    latest = np.where(count > 0, start_at[np.cumsum(starting) - 1], -1)
+    key = packets.key_id[order]
+    head = np.append(True, key[1:] != key[:-1])
+    b = np.where(head, -1, np.roll(latest, 1))
+    previous = np.where(head, -1, np.roll(order, 1)) if holds else b
+    gap = (previous >= 0) & (packets.ts[order] - packets.ts[previous] > flow_timeout)
+    rule = np.empty((3, len(order)), dtype=np.int64)
+    rule[:, order] = latest if holds else np.where(starting, order, -1), b, gap
+    return order, rule
 
 
 @_gc_paused
@@ -85,78 +118,79 @@ def build_flows(
 
     Raises ValueError on a timestamp that moves backwards, naming the packet
     index.  At end of stream every resident record is exported.
+
+    A window ends at the packet that fires the export timer or whose record
+    openings reach the capacity; the windows are found one after another,
+    then the records of all of them at once.
     """
-    flow_timeout = config.flow_timeout
-    export_timeout = config.export_timeout
+    packets = _as_columns(packets)
+    ts, n = packets.ts, len(packets)
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        i = int(back[0]) + 1
+        raise ValueError(
+            f"packet {i}: timestamp {float(ts[i])!r} precedes {float(ts[i - 1])!r};"
+            " stream must be time-ordered"
+        )
+    starts = _start_mask(sampler, packets, np.arange(n))
+    order, (a, b, gap) = _opening_rule(packets, starts, _holds(sampler), config.flow_timeout)
     capacity = config.buffer_capacity
+    stops, exported = [], []
+    lo = span = 0
+    while lo < n:
+        fires = _timer_fires(ts, lo, float(ts[stops[-1] if stops else 0]), config.export_timeout)
+        stop = min(fires, n - 1)
+        exported.append(fires < n)
+        # a window of ``capacity`` packets or more may fill up: scan a prefix,
+        # from the last window's length, doubled until it fills or ends
+        hi = min(stop + 1, lo + max(span, capacity))
+        while stop + 1 - lo >= capacity:
+            opened = np.flatnonzero((a[lo:hi] >= lo) & ((b[lo:hi] < lo) | (gap[lo:hi] > 0)))
+            if len(opened) >= capacity:
+                stop, exported[-1] = lo + int(opened[capacity - 1]), True
+            if len(opened) >= capacity or hi == stop + 1:
+                break
+            hi = min(stop + 1, lo + 2 * (hi - lo))
+        stops.append(stop)
+        lo, span = stop + 1, stop + 1 - lo
+    ends = np.array(stops, dtype=np.int64)
+    window_of = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=-1))
+    lo = np.append(0, ends[:-1] + 1)[window_of]
+    admitted = a >= lo
+    opens = admitted & ((b < lo) | (gap > 0))
+    if stops and not exported[-1]:  # exported at end of stream if it holds a record
+        exported[-1] = bool(admitted[n - span :].any())
+    boundaries = [float(ts[stop]) for stop, out in zip(stops, exported) if out]
+    records = _records(packets, order[admitted[order]], opens, window_of)
+    return FlowSet(records, boundaries, packets_seen=n, packets_admitted=int(admitted.sum()))
 
-    live: dict = {}
-    seq_on_key: dict = {}
-    records: list[FlowRecord] = []
-    boundaries: list[float] = []
-    holds = _holds(sampler)
-    window_start = 0.0
-    window_count = 0
-    last_ts = 0.0
-    seen = 0
-    admitted = 0
 
-    def export(at: float) -> None:
-        nonlocal window_count, window_start
-        boundaries.append(at)
-        live.clear()
-        seq_on_key.clear()
-        window_count = 0
-        window_start = at
-
-    for index, pkt in enumerate(packets):
-        t = pkt.timestamp
-        if seen == 0:
-            window_start = t
-        elif t < last_ts:
-            raise ValueError(
-                f"packet {index}: timestamp {t!r} precedes {last_ts!r};"
-                " stream must be time-ordered"
-            )
-        last_ts = t
-        seen += 1
-
-        key = pkt.key
-        rec = live.get(key)
-        if (rec is not None and holds) or _starts(sampler, pkt, index):
-            syn = "S" in pkt.tcp_flags
-            if rec is None or t - rec.last_seen > flow_timeout:
-                # First admitted packet, or an idle gap: open a record.
-                seq = 0 if rec is None else seq_on_key[key] + 1
-                seq_on_key[key] = seq
-                window = len(boundaries)
-                rec = FlowRecord(
-                    _flow_id(key, window, seq),
-                    key,
-                    1,
-                    pkt.byte_len,
-                    t,
-                    t,
-                    1 if syn else 0,
-                    window,
-                )
-                live[key] = rec
-                records.append(rec)
-                window_count += 1
-            else:
-                rec.packet_count += 1
-                rec.byte_count += pkt.byte_len
-                rec.last_seen = t
-                if syn:
-                    rec.syn_count += 1
-            admitted += 1
-
-        if window_count >= capacity or t - window_start > export_timeout:
-            export(t)
-
-    if window_count:
-        export(last_ts)
-    return FlowSet(records, boundaries, packets_seen=seen, packets_admitted=admitted)
+def _records(packets: PacketColumns, at: np.ndarray, opens: np.ndarray, window_of: np.ndarray) -> list:
+    """Flow records in opening order, from the admitted packets ``at``
+    (grouped by key, time order within a key) and the openings mask."""
+    first = np.flatnonzero(opens[at])
+    if not len(first):
+        return []
+    key, window = packets.key_id[at[first]], window_of[at[first]]
+    rank = np.arange(len(first))
+    new = np.append(True, (key[1:] != key[:-1]) | (window[1:] != window[:-1]))
+    syn = (packets.flags[at] & _SYN).astype(np.int64) // _SYN
+    columns = (
+        key,
+        np.diff(np.append(first, len(at))),
+        np.add.reduceat(packets.byte_len[at].astype(np.int64), first),
+        packets.ts[at[first]],
+        packets.ts[at[np.append(first[1:], len(at)) - 1]],
+        np.add.reduceat(syn, first),
+        rank - np.maximum.accumulate(np.where(new, rank, 0)),  # seq within (key, window)
+        window,
+    )
+    key_ids, *rest = (col[np.argsort(at[first])].tolist() for col in columns)
+    return [
+        FlowRecord(f"{k.protocol}-{k.src_addr}:{k.src_port}-{k.dst_addr}:{k.dst_port}-{w}.{q}",
+                   k, c, nb, f, l, y, w)
+        for k, c, nb, f, l, y, q, w in zip(packets.keys.tuples(np.asarray(key_ids)), *rest)
+    ]
 
 
 def flow_length_histogram(flows: FlowSet, merge_windows: bool = True):
@@ -219,7 +253,8 @@ def read_flow_csv(path) -> FlowSet:
     """Read records back from the export CSV.
 
     Window boundaries are not stored in the CSV; the window index is
-    recovered from the flow id and boundaries are left empty.
+    recovered from the flow id and boundaries are left empty.  A cell that
+    does not convert is a ValueError naming the file, line and column.
     """
     records: list[FlowRecord] = []
     with open(path, newline="") as fh:
@@ -230,22 +265,26 @@ def read_flow_csv(path) -> FlowSet:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: malformed row {row}")
-            key = FiveTuple(int(row[1]), row[2], int(row[3]), row[4], int(row[5]))
+            try:
+                key = FiveTuple(int(row[1]), row[2], int(row[3]), row[4], int(row[5]))
+                cells = int(row[6]), int(row[7]), float(row[8]), float(row[9]), int(row[10])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {_bad_cell(row, exc)}") from None
             try:
                 window = int(row[0].rsplit("-", 1)[1].split(".")[0])
             except (IndexError, ValueError):
                 window = 0
-            records.append(
-                FlowRecord(
-                    row[0],
-                    key,
-                    int(row[6]),
-                    int(row[7]),
-                    float(row[8]),
-                    float(row[9]),
-                    int(row[10]),
-                    window,
-                )
-            )
+            records.append(FlowRecord(row[0], key, *cells, window))
     admitted = sum(rec.packet_count for rec in records)
     return FlowSet(records, [], packets_seen=None, packets_admitted=admitted)
+
+
+def _bad_cell(row: list, exc: ValueError) -> str:
+    """The first cell of ``row`` that does not convert, or else ``exc``: a
+    value out of range."""
+    for column, convert, cell in zip(CSV_HEADER, (str, int, str, int, str, int, int, int, float, float, int), row):
+        try:
+            convert(cell)
+        except ValueError as bad:
+            return f"column {column!r}: {bad}"
+    return str(exc)

@@ -18,6 +18,7 @@ clamping reduces (but need not eliminate) the negativity.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .binning import bin_mass
-from .distributions import FlowLengthDistribution, ObservedDistribution, _check_rate
+from .distributions import FlowLengthDistribution, ObservedDistribution, _as_prob_vector, _check_rate
 from .flowtable import FlowSet
 from .sampling import _start_chance
 from .trace import TCP
@@ -210,6 +211,10 @@ def write_inversion_json(path, payload: dict) -> None:
 
 
 def read_inversion_json(path) -> dict:
+    """Read an inversion JSON, checking what ``compare`` reads: ``p`` in
+    (0, 1]; ``raw`` and ``clamped`` 1-d lists of finite numbers, read as
+    floats; ``observed``, if there, a probability vector; integer
+    ``negative_indices``.  A failure is a ValueError naming the file."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -217,4 +222,27 @@ def read_inversion_json(path) -> dict:
     for key in ("p", "C", "raw", "clamped", "negative_indices"):
         if key not in payload:
             raise ValueError(f"{path}: missing key {key!r} in inversion JSON")
+    try:
+        if not _is_number(payload["p"]):
+            raise ValueError(f"p must be a number, got {payload['p']!r}")
+        _check_rate(payload["p"], "p")
+        for key in ("raw", "clamped", "observed"):
+            values = payload.get(key, [])
+            if not isinstance(values, list) or not all(map(_is_number, values)):
+                raise ValueError(f"{key} must be 1-d: a list of numbers")
+            if key in payload:
+                payload[key] = [float(v) for v in values]
+            if key != "observed" and not all(map(math.isfinite, payload[key])):
+                raise ValueError(f"{key} carries non-finite mass")
+        if "observed" in payload:
+            _as_prob_vector(payload["observed"], "sampled")
+        if not (isinstance(payload["negative_indices"], list) and all(
+                isinstance(i, int) and not isinstance(i, bool) for i in payload["negative_indices"])):
+            raise ValueError("negative_indices must be a list of ints")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return payload
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

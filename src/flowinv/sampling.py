@@ -28,12 +28,12 @@ import numpy as np
 from .binning import _tail_sums
 from .distributions import FlowLengthDistribution, ObservedDistribution
 from .distributions import _check_rate, _counts_to_probs
-from .trace import PacketRecord
+from .trace import _SYN, PacketColumns, PacketRecord, _as_columns
 
 METHODS = ("packet", "sh_packet", "sh_byte", "sh_syn", "always")
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 class TruncationWarning(UserWarning):
@@ -55,23 +55,25 @@ class SamplerConfig:
 ALWAYS = SamplerConfig("always")
 
 
-def _uniform(seed: int, index: int) -> float:
-    # SplitMix64 output stream: uniform in [0, 1) keyed by (seed, index).
-    z = (seed + (index + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return (z >> 11) * (1.0 / (1 << 53))
+def _uniforms(seed: int, index: np.ndarray) -> np.ndarray:
+    """SplitMix64 output stream: uniform in [0, 1) keyed by (seed, index),
+    one draw per entry of ``index``; every operand is a uint64, so numpy
+    1.x and 2.x wrap the arithmetic alike."""
+    z = (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _GOLDEN + np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
-def _start_weight(method: str, packet: PacketRecord) -> int:
-    """Chances this packet carries to start a hold: one per packet, one per
+def _start_weights(method: str, packets: PacketColumns) -> np.ndarray:
+    """Chances each packet carries to start a hold: one per packet, one per
     byte for ``sh_byte``, and one per SYN for ``sh_syn``."""
     if method == "sh_byte":
-        return packet.byte_len
+        return packets.byte_len.astype(np.int64)
     if method == "sh_syn":
-        return 1 if "S" in packet.tcp_flags else 0
-    return 1
+        return (packets.flags & _SYN).astype(np.int64) // _SYN
+    return np.ones(len(packets), dtype=np.int64)
 
 
 def _start_chance(p: float, w: float) -> float:
@@ -83,28 +85,32 @@ def _start_chance(p: float, w: float) -> float:
     return -math.expm1(w * math.log1p(-p))
 
 
+def _start_chances(config: SamplerConfig, packets: PacketColumns) -> np.ndarray:
+    """Each packet's probability to start a hold on an untracked flow, with
+    ``_start_chance`` evaluated once per distinct weight."""
+    if config.method == "always":
+        return np.ones(len(packets))
+    weights, which = np.unique(_start_weights(config.method, packets), return_inverse=True)
+    chances = np.array([_start_chance(config.p, w) for w in weights.tolist()], dtype=float)
+    return chances[which]
+
+
 def start_probability(config: SamplerConfig, packet: PacketRecord) -> float:
     """Probability that this packet starts a hold on an untracked flow.
 
     A packet with w start chances starts a hold with probability
     1 - (1-p)**w; for ``packet`` it is the probability of keeping it.
     """
-    if config.method == "always":
-        return 1.0
-    return _start_chance(config.p, _start_weight(config.method, packet))
+    return float(_start_chances(config, _as_columns([packet]))[0])
 
 
-def _starts(config: SamplerConfig, packet: PacketRecord, packet_index: int) -> bool:
-    """Whether packet ``packet_index`` starts a hold (for ``packet``: is kept).
+def _start_mask(config: SamplerConfig, packets: PacketColumns, index: np.ndarray) -> np.ndarray:
+    """Which packets start a hold (for ``packet``: are kept), packet i
+    drawing at stream index ``index[i]``.
 
     The caller admits packets of a held key without asking.
     """
-    prob = start_probability(config, packet)
-    if prob >= 1.0:
-        return True
-    if prob <= 0.0:
-        return False
-    return _uniform(config.seed, packet_index) < prob
+    return _uniforms(config.seed, index) < _start_chances(config, packets)
 
 
 def _holds(config: SamplerConfig) -> bool:
@@ -112,27 +118,42 @@ def _holds(config: SamplerConfig) -> bool:
     return config.method != "packet"
 
 
+def _grouped(key_id: np.ndarray, weights: np.ndarray):
+    """Stable sort by key: the sort order, and along it each packet's sum of
+    ``weights`` over its key's packets up to and including it."""
+    order = np.argsort(key_id, kind="stable")
+    w = np.asarray(weights, dtype=np.int64)[order]
+    run = np.cumsum(w)
+    keys = key_id[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    # weights are >= 0, so the sum before each key's first packet only grows
+    run -= np.maximum.accumulate(np.where(head, run - w, 0))
+    return order, run
+
+
+def _within_key(key_id: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each packet's running sum of ``weights`` over its key, in stream order."""
+    order, run = _grouped(key_id, weights)
+    out = np.empty_like(run)
+    out[order] = run
+    return out
+
+
 def sample_packets(
     packets: Iterable[PacketRecord], config: SamplerConfig
-) -> list[PacketRecord]:
+) -> PacketColumns:
     """Apply a sampling strategy to a stream, returning the kept packets.
 
     Hold state persists for the rest of the stream once a flow is started
     (record splitting on idle gaps is the flow table's business and does not
     change which packets are kept).
     """
-    holds = _holds(config)
-    held: set = set()
-    kept: list[PacketRecord] = []
-    for index, pkt in enumerate(packets):
-        key = pkt.key
-        if key in held:
-            kept.append(pkt)
-        elif _starts(config, pkt, index):
-            kept.append(pkt)
-            if holds:
-                held.add(key)
-    return kept
+    packets = _as_columns(packets)
+    starts = _start_mask(config, packets, np.arange(len(packets)))
+    if _holds(config):
+        return packets.take(_within_key(packets.key_id, starts) > 0)
+    return packets.take(starts)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +237,10 @@ class _PilotProfile:
     multiplicity: np.ndarray
 
 
-def _profile_stream(packets: Sequence[PacketRecord], method: str) -> _PilotProfile:
-    seen: dict = {}
-    weights = np.empty(len(packets))
-    for i, pkt in enumerate(packets):
-        key = pkt.key
-        w = seen.get(key, 0) + _start_weight(method, pkt)
-        seen[key] = w
-        weights[i] = w
-    return _PilotProfile(weights, np.ones(len(packets)))
+def _profile_stream(packets: Iterable[PacketRecord], method: str) -> _PilotProfile:
+    packets = _as_columns(packets)
+    weights = _within_key(packets.key_id, _start_weights(method, packets))
+    return _PilotProfile(weights.astype(float), np.ones(len(weights)))
 
 
 def _profile_histogram(counts: Mapping[int, int]) -> _PilotProfile:
@@ -301,7 +317,7 @@ def calibrate_rate(pilot, method: str, target_fraction: float) -> float:
 
 def resample_as_packet_sample(
     packets: Sequence[PacketRecord], p: float, seed: int = 0
-) -> list[PacketRecord]:
+) -> PacketColumns:
     """Thin a sample-and-hold (by packet) stream into a plain packet sample.
 
     The first kept packet of each flow was the sampled start and is always
@@ -310,12 +326,6 @@ def resample_as_packet_sample(
     at the same rate over the held flows.
     """
     _check_rate(p, "p")
-    seen: set = set()
-    out: list[PacketRecord] = []
-    for index, pkt in enumerate(packets):
-        if pkt.key not in seen:
-            seen.add(pkt.key)
-            out.append(pkt)
-        elif _uniform(seed, index) < p:
-            out.append(pkt)
-    return out
+    packets = _as_columns(packets)
+    first = _within_key(packets.key_id, np.ones(len(packets))) == 1
+    return packets.take(first | (_uniforms(seed, np.arange(len(packets))) < p))

@@ -18,8 +18,9 @@ from collections import Counter
 from typing import Iterable
 
 from flowinv.flowtable import FlowRecord, FlowSet, FlowTableConfig
-from flowinv.sampling import _MASK64, SamplerConfig, _uniform
+from flowinv.sampling import SamplerConfig
 from flowinv.trace import FiveTuple, PacketRecord, _gc_paused
+from oracle_sampling import _MASK64, _uniform
 
 
 class Decision(enum.Enum):

@@ -11,7 +11,6 @@ from flowinv.binning import (
     ccdf,
     make_bins,
     ratio_for_bins_per_decade,
-    write_binned_csv,
 )
 from flowinv.distributions import FlowLengthDistribution
 
@@ -164,16 +163,6 @@ def test_ccdf_monotone_and_bounded():
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] == 0.0
-
-
-def test_binned_csv_output(tmp_path):
-    binning = bin_histogram({1: 3, 2: 1, 3: 1}, [1, 2, 4], ratio_target=2.0)
-    path = tmp_path / "bins.csv"
-    write_binned_csv(binning, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin_lo,bin_hi,avg_count,plot_lo,plot_hi"
-    assert lines[1] == "1,2,3.0,0.5,1.5"
-    assert lines[2] == "2,4,1.0,1.5,3.5"
 
 
 def test_plot_extents_offset_by_half():

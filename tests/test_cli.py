@@ -316,3 +316,73 @@ def test_walkthrough_runs_without_scipy(tmp_path):
     codes = json.loads(done.stdout.splitlines()[-1])
     assert codes == {"generate": 0, "flows": 0, "sample": 0, "invert": 0, "compare": 0}
     assert (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("raw", None, "raw must be 1-d: a list of numbers"),
+    ("raw", {"a": 1}, "raw must be 1-d: a list of numbers"),
+    ("raw", [0.5, "0.5"], "raw must be 1-d: a list of numbers"),
+    ("clamped", [float("nan")], "clamped carries non-finite mass"),
+    ("p", "x", "p must be a number, got 'x'"),
+    ("p", True, "p must be a number, got True"),
+    ("p", 1.5, "p must be in (0, 1], got 1.5"),
+    ("negative_indices", [1.5], "negative_indices must be a list of ints"),
+    ("observed", [0.5, [0.5]], "observed must be 1-d: a list of numbers"),
+])
+def test_compare_checks_inversion_json_fields_exits_two(pipeline, tmp_path, capsys,
+                                                        field, value, message):
+    payload = json.loads((pipeline / "result.json").read_text())
+    payload[field] = value
+    estimate = tmp_path / "bad.json"
+    estimate.write_text(json.dumps(payload))
+    assert main(["compare", "--truth", str(pipeline / "truth.csv"), "--estimate",
+                 str(estimate), "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{estimate}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_compare_reads_the_checked_inversion_json(pipeline, tmp_path):
+    # integer entries are numbers too; the report's metadata carries p as given
+    payload = json.loads((pipeline / "result.json").read_text())
+    payload["raw"] = [1] + [0] * (len(payload["raw"]) - 1)
+    estimate = tmp_path / "int.json"
+    estimate.write_text(json.dumps(payload))
+    assert main(["compare", "--truth", str(pipeline / "truth.csv"), "--estimate",
+                 str(estimate), "--out", str(tmp_path / "c.csv")]) == 0
+    meta = json.loads((tmp_path / "c.meta.json").read_text())
+    assert meta["metadata"]["p"] == payload["p"]
+
+
+@pytest.mark.parametrize("bins_per_decade", ["1e17", "1e300"])
+def test_bins_per_decade_whose_ratio_rounds_to_one_exits_two(pipeline, tmp_path, capsys,
+                                                              bins_per_decade):
+    assert main(["invert", "--in", str(pipeline / "sample.csv"), "--method", "sh-packet",
+                 "--p", "0.3", "--bins-per-decade", bins_per_decade,
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert main(["compare", "--truth", str(pipeline / "truth.csv"),
+                 "--estimate", str(pipeline / "result.json"),
+                 "--bins-per-decade", bins_per_decade, "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"10**(1/bins_per_decade) exceeds 1, got {float(bins_per_decade)}") == 2
+    assert "ratio_target" not in err
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("packets", "x", "column 'packets': invalid literal for int() with base 10: 'x'"),
+    ("first_seen", "soon", "column 'first_seen': could not convert string to float: 'soon'"),
+    ("sport", "70000", "bad port 70000"),
+])
+def test_flow_csv_errors_name_file_line_and_column(pipeline, tmp_path, capsys,
+                                                   column, cell, message):
+    lines = (pipeline / "sample.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index(column)] = cell
+    lines[2] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["invert", "--in", str(bad), "--method", "sh-packet", "--p", "0.3",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{bad}, line 3: {message}" in capsys.readouterr().err

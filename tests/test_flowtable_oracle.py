@@ -1,12 +1,15 @@
 """Differential tests: ``build_flows`` against the scalar reference table,
-and the hold-start rule ``_starts`` against the reference ``decide``."""
+and the hold-start mask ``_start_mask`` against the reference ``decide``."""
+
+import numpy as np
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowinv.flowtable import UNBOUNDED, FlowTableConfig, build_flows
-from flowinv.sampling import METHODS, SamplerConfig, _starts
-from flowinv.trace import FiveTuple, PacketRecord
+from flowinv.sampling import METHODS, SamplerConfig, _start_mask
+from flowinv.trace import FiveTuple, PacketRecord, _as_columns
 from oracle_flowtable import Decision, decide
 from oracle_flowtable import build_flows as oracle_build_flows
 
@@ -56,16 +59,50 @@ def _trace(start, rows):
 def test_build_flows_matches_scalar_oracle(start, rows, table, p, seed):
     packets = _trace(start, rows)
     for method in METHODS:
-        sampler = SamplerConfig(method, p, seed)
-        got = build_flows(packets, table, sampler)
-        want = oracle_build_flows(packets, table, sampler)
-        assert got.records == want.records, method
-        assert got.window_boundaries == want.window_boundaries, method
-        assert got.packets_seen == want.packets_seen, method
-        assert got.packets_admitted == want.packets_admitted, method
+        _assert_same_flows(packets, table, SamplerConfig(method, p, seed))
 
 
-# seeds outside [0, 2**64) reach the counter unmasked; _uniform reduces mod 2**64
+def _assert_same_flows(packets, table, sampler):
+    got = build_flows(packets, table, sampler)
+    want = oracle_build_flows(packets, table, sampler)
+    assert got.records == want.records, sampler.method
+    assert got.window_boundaries == want.window_boundaries, sampler.method
+    assert got.packets_seen == want.packets_seen, sampler.method
+    assert got.packets_admitted == want.packets_admitted, sampler.method
+
+
+def test_build_flows_matches_scalar_oracle_on_seeded_traces():
+    # the hypothesis examples above repeat themselves; these 400 seeded traces
+    # spread over capacities, timeouts and trace lengths
+    rng = np.random.default_rng(11)
+    gaps = np.array([0.0, 0.0, 0.25, 1.0, 2.5, 7.0])
+    for _ in range(400):
+        n = int(rng.integers(0, 120))
+        rows = [(float(rng.choice(gaps)), int(rng.integers(len(KEYS))), int(rng.integers(40, 1501)),
+                 FLAGS[rng.integers(len(FLAGS))]) for _ in range(n)]
+        packets = _trace(float(rng.uniform(0, 100)), rows)
+        table = FlowTableConfig(float(rng.choice([0.5, 1.0, 2.5, 7.0])),
+                                float(rng.choice([1.0, 2.5, 7.0, 20.0, 60.0])), int(rng.integers(1, 7)))
+        for method in METHODS:
+            sampler = SamplerConfig(method, float(rng.choice([1.0, 0.5, 0.1])), int(rng.integers(2**32)))
+            _assert_same_flows(packets, table, sampler)
+
+
+@pytest.mark.parametrize(
+    "first, export_timeout, edge",
+    # edge - first > export_timeout although edge <= first + export_timeout
+    # rounds to the float below edge, and the other way round
+    [(2.38, 0.652, 3.032), (0.36, 1.085, 1.445)],
+)
+def test_export_timer_uses_the_exact_float_test(first, export_timeout, edge):
+    key = KEYS[0]
+    packets = [PacketRecord(t, key, 100) for t in (first, edge, edge + 0.01, edge + 0.02)]
+    assert (edge - first > export_timeout) != (edge > first + export_timeout)
+    for method in METHODS:
+        _assert_same_flows(packets, FlowTableConfig(100.0, export_timeout, 100), SamplerConfig(method))
+
+
+# seeds outside [0, 2**64) reach the counter unmasked; it reduces them mod 2**64
 _seeds = st.one_of(
     st.sampled_from([0, -1, -(2**64) - 3, 2**64, 2**64 + 5, 2**70 + 1]),
     st.integers(-(2**66), 2**66),
@@ -86,4 +123,22 @@ def test_starts_matches_scalar_oracle(p, seed, k, nbytes, flags, index):
     for method in METHODS:
         config = SamplerConfig(method, p, seed)
         want = decide(config, pkt, False, index) is not Decision.SKIP
-        assert _starts(config, pkt, index) is want, method
+        got = _start_mask(config, _as_columns([pkt]), np.array([index]))
+        assert got.tolist() == [want], method
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    p=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    seed=_seeds,
+    rows=_rows,
+    offset=st.integers(0, 10**9),
+)
+def test_start_mask_over_a_stream_matches_scalar_oracle(p, seed, rows, offset):
+    packets = _trace(0.0, rows)
+    index = offset + np.arange(len(packets))
+    for method in METHODS:
+        config = SamplerConfig(method, p, seed)
+        want = [decide(config, pkt, False, int(i)) is not Decision.SKIP
+                for pkt, i in zip(packets, index)]
+        assert _start_mask(config, _as_columns(packets), index).tolist() == want, method

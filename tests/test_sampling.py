@@ -13,7 +13,7 @@ from flowinv.sampling import (
     _kept_fraction,
     _profile_histogram,
     _profile_stream,
-    _starts,
+    _start_mask,
     calibrate_rate,
     forward_packet_sampling,
     forward_sh_packet,
@@ -21,7 +21,7 @@ from flowinv.sampling import (
     sample_packets,
     start_probability,
 )
-from flowinv.trace import FiveTuple, PacketRecord, SyntheticTraceConfig, generate_trace
+from flowinv.trace import FiveTuple, PacketRecord, SyntheticTraceConfig, _as_columns, generate_trace
 
 TCP_KEY = FiveTuple(6, "10.0.0.1", 80, "10.0.0.2", 1000)
 UDP_KEY = FiveTuple(17, "10.0.0.1", 53, "10.0.0.2", 1000)
@@ -29,6 +29,13 @@ UDP_KEY = FiveTuple(17, "10.0.0.1", 53, "10.0.0.2", 1000)
 
 def _pkt(nbytes=100, syn=False, key=TCP_KEY, t=0.0):
     return PacketRecord(t, key, nbytes, frozenset("S") if syn else frozenset())
+
+
+def _starts(config, packets, index=None):
+    """The start mask over ``packets``, drawing at ``index`` (default: their
+    stream positions)."""
+    index = np.arange(len(packets)) if index is None else np.asarray(index)
+    return _start_mask(config, _as_columns(packets), index)
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +65,13 @@ def test_sh_byte_at_p_one_samples_every_packet():
     config = SamplerConfig("sh_byte", 1.0)
     assert start_probability(config, _pkt(nbytes=1500)) == 1.0
     packets = [_pkt(nbytes=40), _pkt(key=UDP_KEY, nbytes=1500)]
-    assert sample_packets(packets, config) == packets
+    assert list(sample_packets(packets, config)) == packets
 
 
 def test_sh_syn_never_starts_without_syn():
     config = SamplerConfig("sh_syn", 1.0, seed=3)
-    for index in range(50):
-        assert not _starts(config, _pkt(key=UDP_KEY), index)
-        assert not _starts(config, _pkt(syn=False), index)
+    assert not _starts(config, [_pkt(key=UDP_KEY)] * 50).any()
+    assert not _starts(config, [_pkt(syn=False)] * 50).any()
 
 
 @pytest.mark.parametrize("method", ["sh_packet", "sh_byte", "sh_syn"])
@@ -73,28 +79,30 @@ def test_tracked_flows_always_sampled(method):
     # one SYN opens the flow; every later packet is small and carries no SYN
     packets = [_pkt(syn=True)] + [_pkt(nbytes=40, t=float(i)) for i in range(1, 50)]
     seed = next(s for s in range(100_000)
-                if _starts(SamplerConfig(method, 0.001, seed=s), packets[0], 0))
+                if _starts(SamplerConfig(method, 0.001, seed=s), packets[:1])[0])
     config = SamplerConfig(method, 0.001, seed=seed)
     # the later packets would not all start a hold on their own
-    assert not all(_starts(config, pkt, i) for i, pkt in enumerate(packets) if i)
-    assert sample_packets(packets, config) == packets
+    assert not _starts(config, packets)[1:].all()
+    assert list(sample_packets(packets, config)) == packets
 
 
 def test_packet_method_never_tracks():
     config = SamplerConfig("packet", 0.9, seed=2)
     packets = [_pkt(t=float(i)) for i in range(200)]
-    kept = sample_packets(packets, config)
-    assert kept == [pkt for i, pkt in enumerate(packets) if _starts(config, pkt, i)]
+    kept = list(sample_packets(packets, config))
+    assert kept == [pkt for pkt, start in zip(packets, _starts(config, packets)) if start]
     # a kept packet does not hold its key: later packets are still dropped
     assert len(kept) < len(packets) - packets.index(kept[0])
 
 
 def test_decisions_replayable_and_order_independent():
     config = SamplerConfig("sh_packet", 0.25, seed=77)
-    forward = [_starts(config, _pkt(), i) for i in range(500)]
-    replay = [_starts(config, _pkt(), i) for i in range(500)]
-    backward = [_starts(config, _pkt(), i) for i in reversed(range(500))]
-    assert forward == replay
+    packets = [_pkt()] * 500
+    forward = _starts(config, packets).tolist()
+    replay = _starts(config, packets).tolist()
+    backward = _starts(config, packets, np.arange(500)[::-1]).tolist()
+    singles = [bool(_starts(config, [_pkt()], [i])[0]) for i in range(500)]
+    assert forward == replay == singles
     assert forward == backward[::-1]
     assert 0 < sum(forward) < 500
 
@@ -102,7 +110,7 @@ def test_decisions_replayable_and_order_independent():
 def test_starts_rate_matches_p():
     config = SamplerConfig("packet", 0.3, seed=11)
     n = 20000
-    kept = sum(_starts(config, _pkt(), i) for i in range(n))
+    kept = int(_starts(config, [_pkt()] * n).sum())
     assert abs(kept / n - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
 
 
@@ -240,13 +248,13 @@ def test_forward_truncation_warns_when_mass_dropped():
 
 def test_sample_packets_always_keeps_everything():
     packets, _ = generate_trace(SyntheticTraceConfig(num_flows=50, max_flow_len=20, seed=1))
-    assert sample_packets(packets, ALWAYS) == packets
+    assert list(sample_packets(packets, ALWAYS)) == list(packets)
 
 
 def test_sample_packets_holds_flows_to_stream_end():
     packets = [_pkt(t=float(i)) for i in range(10)]
     config = SamplerConfig("sh_packet", 0.5, seed=4)
-    kept = sample_packets(packets, config)
+    kept = list(sample_packets(packets, config))
     # once held, every later packet of the flow is kept
     if kept:
         first = packets.index(kept[0])
@@ -431,7 +439,7 @@ def test_calibrate_histogram_only_for_packet_lengths():
 def test_resample_identity_at_p_one():
     packets, _ = generate_trace(SyntheticTraceConfig(num_flows=40, max_flow_len=15, seed=9))
     kept = sample_packets(packets, SamplerConfig("sh_packet", 0.5, seed=2))
-    assert resample_as_packet_sample(kept, 1.0) == kept
+    assert list(resample_as_packet_sample(kept, 1.0)) == list(kept)
 
 
 def test_resample_always_keeps_first_packet_per_flow():

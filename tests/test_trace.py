@@ -17,9 +17,11 @@ from flowinv.flowtable import UNBOUNDED, build_flows, read_flow_csv, write_flow_
 from flowinv.sampling import ALWAYS
 from flowinv.trace import (
     FiveTuple,
+    PacketColumns,
     PacketRecord,
     SyntheticTraceConfig,
     TraceFormatError,
+    _as_columns,
     generate_trace,
     parse_packet_line,
     read_trace,
@@ -69,7 +71,7 @@ def test_empty_file_is_empty_stream(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
     data = read_trace(path, format="text")
-    assert data.packets == [] and data.skipped == 0
+    assert list(data.packets) == [] and data.skipped == 0
 
 
 def test_missing_file_is_fatal(tmp_path):
@@ -84,7 +86,7 @@ def test_write_read_identity(tmp_path):
     path = tmp_path / "trace.txt"
     write_trace(path, packets)
     back = read_trace(path, format="text")
-    assert back.packets == packets
+    assert list(back.packets) == list(packets)
 
 
 def test_read_rebases_timestamps(tmp_path):
@@ -95,6 +97,21 @@ def test_read_rebases_timestamps(tmp_path):
     )
     data = read_trace(path, format="text")
     assert [pkt.timestamp for pkt in data.packets] == [0.0, 1.25]
+
+
+def test_packet_columns_read_as_rows():
+    packets, _ = generate_trace(
+        SyntheticTraceConfig(num_flows=30, max_flow_len=10, tcp_fraction=0.5, seed=6)
+    )
+    rows = list(packets)
+    assert len(rows) == len(packets) and rows == list(packets)
+    assert [packets[i] for i in (0, 5, -1)] == [rows[0], rows[5], rows[-1]]
+    part = packets[3:9]
+    assert isinstance(part, PacketColumns) and list(part) == rows[3:9]
+    # a list of rows converts to columns that read back as the same rows
+    again = _as_columns(rows)
+    assert list(again) == rows and again.keys is not packets.keys
+    assert again.ts.dtype == np.float64 and again.flags.dtype == np.uint8
 
 
 def test_packet_record_validation():
@@ -278,7 +295,7 @@ def test_generate_is_deterministic():
     cfg = SyntheticTraceConfig(num_flows=200, max_flow_len=40, tcp_fraction=0.6, seed=42)
     first, truth_a = generate_trace(cfg)
     second, truth_b = generate_trace(cfg)
-    assert first == second
+    assert list(first) == list(second)
     assert np.array_equal(truth_a.probs, truth_b.probs)
 
 
